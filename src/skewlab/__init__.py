@@ -47,15 +47,14 @@ from .graphs import Graph, Partition, all_loops, complete_multipartite, path, sk
 from .solver import (
     CliqueInstance,
     ExtremalResult,
-    SandwichReport,
     enumerate_max_clique,
     exact_M,
     exact_MG,
     exact_attractive,
     max_clique,
     multipartite_M,
-    sandwich_check,
 )
+from .report import SandwichReport, sandwich_check
 from .sperner import (
     AntichainResult,
     build_fibonacci_poset,

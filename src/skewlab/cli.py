@@ -9,7 +9,6 @@ excluded by default exactly so that byte-identity holds.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
@@ -39,7 +38,6 @@ class RunConfig:
     alphabet_graph: str = "skew-alphabet"
     witness: bool = False
     timing: bool = False
-    threads: int = 0
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -140,7 +138,7 @@ def _cmd_verify(config: RunConfig) -> int:
         _emit(config, f"ok: gamma-sum implication holds on all pairs at n={n}\n")
         return 0
     if config.check == "sandwich":
-        rep = solver.sandwich_check(config.n)
+        rep = report.sandwich_check(config.n)
         _emit(
             config,
             f"{rep.construction_size} <= {rep.exact_size} <= {rep.upper_bound}"
@@ -297,20 +295,18 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not sep:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
     try:
-        return int(lo), int(hi)
+        lo_n, hi_n = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}") from None
+    if lo_n > hi_n:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}: LO > HI")
+    return lo_n, hi_n
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewlab",
         description="Exact experiments on skewincident string families.",
-        epilog=(
-            "SKEWLAB_THREADS caps worker count; this build computes everything "
-            "sequentially (satisfying any cap), so results and witnesses are "
-            "deterministic unconditionally."
-        ),
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", dest="fmt", choices=report.FORMATS,
@@ -395,18 +391,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    threads_env = os.environ.get("SKEWLAB_THREADS", "0")
-    try:
-        threads = int(threads_env)
-        if threads < 0:
-            raise ValueError
-    except ValueError:
-        parser.exit(2, f"skewlab: SKEWLAB_THREADS must be a nonnegative integer, "
-                       f"got {threads_env!r}\n")
-
     config = _config_from_args(args)
-    config.threads = threads
 
     if config.command == "report":
         if config.table_style == "summary" and config.n_range is None:

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 from .counting import (
     ceil_pow2,
+    count_C,
     fibonacci_count,
     floor_pow2,
     gamma_distributions_upto,
@@ -126,7 +127,7 @@ def read_table_csv(text: str, parsers: Sequence[Callable[[str], object]]) -> Tab
 BOOL = _parse_bool
 
 
-def theorem_table(max_n: int, antichain_max_n: int = MAX_POSET_LENGTH) -> Table:
+def theorem_table(max_n: int) -> Table:
     """Per-n evidence for the two-sided bracket on the extremal family size.
 
     The lower side compares 2^n - |C_n| against floor(2^(0.96 n)); the upper
@@ -149,7 +150,7 @@ def theorem_table(max_n: int, antichain_max_n: int = MAX_POSET_LENGTH) -> Table:
         outside = (1 << n) - dist.count_above(n)
         b96 = floor_pow2(24 * n, 25)
         b69 = ceil_pow2(69 * n, 100)
-        if n <= antichain_max_n:
+        if n <= MAX_POSET_LENGTH:
             deficit = fibonacci_count(n) - max_antichain(n).size
             upper_ok: bool | None = deficit >= b69
         else:
@@ -159,12 +160,7 @@ def theorem_table(max_n: int, antichain_max_n: int = MAX_POSET_LENGTH) -> Table:
     return Table(columns, tuple(rows))
 
 
-def summary_table(
-    n_lo: int,
-    n_hi: int,
-    exact_m_cap: int = EXACT_M_DEFAULT_CAP,
-    antichain_max_n: int = MAX_POSET_LENGTH,
-) -> Table:
+def summary_table(n_lo: int, n_hi: int) -> Table:
     """Headline quantities per n: Fibonacci count, antichain maximum,
     construction size, exact family maximum where computed, and the
     antichain-complement upper bound."""
@@ -182,9 +178,34 @@ def summary_table(
     rows = []
     for n in range(n_lo, n_hi + 1):
         fib = fibonacci_count(n)
-        m_n = max_antichain(n).size if n <= antichain_max_n else None
+        m_n = max_antichain(n).size if n <= MAX_POSET_LENGTH else None
         c_n = dists[n].count_above(n)
-        exact = exact_M(n).size if n <= exact_m_cap else None
+        exact = exact_M(n).size if n <= EXACT_M_DEFAULT_CAP else None
         upper = (1 << n) - (fib - m_n) if m_n is not None else None
         rows.append((n, fib, m_n, c_n, exact, upper))
     return Table(columns, tuple(rows))
+
+
+@dataclass(frozen=True)
+class SandwichReport:
+    """The two-sided bracket on the exact skewincidence maximum at one n."""
+
+    n: int
+    construction_size: int
+    exact_size: int
+    upper_bound: int
+
+    @property
+    def ok(self) -> bool:
+        return self.construction_size <= self.exact_size <= self.upper_bound
+
+
+def sandwich_check(n: int) -> SandwichReport:
+    """Bracket exact_M(n) between the construction size and the
+    antichain-complement bound 2^n - (f_n - m_n)."""
+    if not 1 <= n <= EXACT_M_DEFAULT_CAP:
+        raise ValueError(f"n must be in [1, {EXACT_M_DEFAULT_CAP}], got {n}")
+    lower = count_C(n)
+    exact = exact_M(n).size
+    upper = (1 << n) - (fibonacci_count(n) - max_antichain(n).size)
+    return SandwichReport(n, lower, exact, upper)

@@ -1,29 +1,46 @@
 """Exact maximum-clique engine and the extremal quantities built on it.
 
-Every extremal question here (largest pairwise-skewincident family, largest
-family of pairwise-neighbor subsets, largest pairwise-attractive set of
-mappings) is a maximum clique over an explicit symmetric relation, so one
-exact branch-and-bound engine backs them all. Self-relation never matters:
+Every extremal question here is a maximum clique over one relation: each
+element has a code (a vertex set of some graph), and two distinct elements
+are related when one's code meets the neighborhood of the other's. Only the
+graph and the codes differ: the path P_n with every subset as a code gives
+pairwise-skewincident strings; g with every subset gives pairwise-neighbor
+subset families; the product F x G with one-hot (position, value) codes
+gives pairwise-attractive mappings. So one relation builder and one exact
+branch-and-bound engine back them all. Self-relation never matters:
 families are constrained on distinct pairs only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .bitstring import BitString, influence_bits
-from .counting import count_C, fibonacci_count
-from .graphs import Graph, Partition, as_partition
+from .bitstring import BitString
+from .graphs import Graph, Partition, as_partition, path
 
 MAX_ELEMENTS = 4096
 EXACT_M_DEFAULT_CAP = 8
 EXACT_M_HARD_CAP = 12
 MAX_MG_VERTICES = 12
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(bitsets: Iterable[int]) -> int:
+    return functools.reduce(operator.or_, bitsets, 0)
 
 
 @dataclass(frozen=True)
@@ -38,6 +55,9 @@ class CliqueInstance:
             raise ValueError(f"element count must be in [1, {MAX_ELEMENTS}], got {self.count}")
         if len(self.rows) != self.count:
             raise ValueError("rows length must equal element count")
+        for i, row in enumerate(self.rows):
+            if row >> self.count or row >> i & 1:
+                raise ValueError(f"row {i} holds itself or an index outside [0, {self.count})")
 
     @classmethod
     def from_relation(cls, count: int, relation: Callable[[int, int], bool]) -> CliqueInstance:
@@ -51,6 +71,24 @@ class CliqueInstance:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         return cls(count, tuple(rows))
+
+    @classmethod
+    def from_neighborhoods(cls, nbrs: Sequence[int], codes: Sequence[int]) -> CliqueInstance:
+        """Relate distinct elements a and b iff codes[b] meets the union of
+        nbrs[v] over the vertices v of codes[a].
+
+        nbrs[v] is the neighborhood bitset of vertex v in an undirected
+        graph, which makes the relation symmetric. Rows are ORs of
+        per-vertex element sets: O(elements x vertices) big-int operations
+        instead of one predicate call per pair.
+        """
+        holders = [0] * len(nbrs)  # holders[w]: the elements whose code holds w
+        for e, code in enumerate(codes):
+            for w in _bits(code):
+                holders[w] |= 1 << e
+        reach = [_union(holders[w] for w in _bits(nb)) for nb in nbrs]
+        rows = [_union(reach[v] for v in _bits(code)) & ~(1 << e) for e, code in enumerate(codes)]
+        return cls(len(codes), tuple(rows))
 
     def related(self, i: int, j: int) -> bool:
         return self.rows[i] >> j & 1 == 1
@@ -86,39 +124,38 @@ def _greedy_color_order(p: int, rows: Sequence[int]) -> tuple[list[int], list[in
     return order, bounds
 
 
-def _greedy_clique_size(rows: Sequence[int], count: int) -> int:
+def _greedy_clique(rows: Sequence[int], count: int) -> list[int]:
+    """A maximal clique: repeatedly take the lowest remaining candidate."""
+    members: list[int] = []
     cur = (1 << count) - 1
-    size = 0
     while cur:
         v = (cur & -cur).bit_length() - 1
-        size += 1
+        members.append(v)
         cur &= rows[v]
-    return size
+    return members
 
 
 def _degree_order(rows: Sequence[int], count: int) -> tuple[list[int], list[int], list[int]]:
     """Relabel elements by descending degree (ties by index); the tighter
-    colorings this yields drive all the pruning below."""
+    colorings this yields drive all the pruning below.
+
+    New bit j of a row is old bit order[j]. A row's binary literal lists
+    bits count-1 down to 0, so one permutation of the literal relabels it.
+    """
     order = sorted(range(count), key=lambda v: (-rows[v].bit_count(), v))
     pos = [0] * count
     for i, v in enumerate(order):
         pos[v] = i
-    rrows = [0] * count
-    for i, v in enumerate(order):
-        m = rows[v]
-        nb = 0
-        while m:
-            low = m & -m
-            nb |= 1 << pos[low.bit_length() - 1]
-            m ^= low
-        rrows[i] = nb
+    permute = operator.itemgetter(*[count - 1 - v for v in reversed(order)])
+    literal = f"0{count}b"
+    rrows = [int("".join(permute(format(rows[v], literal))), 2) for v in order]
     return order, pos, rrows
 
 
 def _max_clique_search(rrows: Sequence[int], count: int) -> tuple[int, list[int]]:
     """Exact maximum clique (size and one witness) over reordered rows."""
-    best = _greedy_clique_size(rrows, count)
-    best_members: list[int] = []
+    best_members = _greedy_clique(rrows, count)
+    best = len(best_members)
     stack: list[int] = []
 
     def expand(p: int) -> None:
@@ -139,12 +176,6 @@ def _max_clique_search(rrows: Sequence[int], count: int) -> tuple[int, list[int]
             p &= ~(1 << v)
 
     expand((1 << count) - 1)
-    if not best_members:  # greedy bound was already optimal; rebuild it
-        cur = (1 << count) - 1
-        while cur:
-            v = (cur & -cur).bit_length() - 1
-            best_members.append(v)
-            cur &= rrows[v]
     return best, best_members
 
 
@@ -236,6 +267,13 @@ def enumerate_max_clique(instance: CliqueInstance) -> ExtremalResult:
     return ExtremalResult(best_size, witness, "enumeration", elapsed)
 
 
+def _subset_family(g: Graph) -> ExtremalResult:
+    """Largest family of vertex subsets of g (elements are the bitmasks),
+    any two distinct ones containing a pair of adjacent vertices."""
+    nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
+    return max_clique(CliqueInstance.from_neighborhoods(nbrs, range(1 << g.vertex_count)))
+
+
 def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
     """Largest family of length-n strings, any two distinct ones skewincident.
 
@@ -246,15 +284,7 @@ def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
     if not 1 <= n <= cap:
         hint = "" if override_cap else " (pass override_cap=True for n up to 12)"
         raise ValueError(f"n must be in [1, {cap}], got {n}{hint}")
-    count = 1 << n
-    rows = [0] * count
-    for x in range(count):
-        fx = influence_bits(x, n)
-        for y in range(x + 1, count):
-            if y & fx:
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
-    result = max_clique(CliqueInstance(count, tuple(rows)))
+    result = _subset_family(path(n))
     result.witness = [BitString(n, bits) for bits in result.witness]
     return result
 
@@ -270,24 +300,8 @@ def exact_MG(g: Graph) -> ExtremalResult:
         raise ValueError(
             f"vertex count must be <= {MAX_MG_VERTICES}, got {g.vertex_count}"
         )
-    nsub = 1 << g.vertex_count
-    # nb[mask] = union of neighborhoods over the subset's vertices
-    nb = [0] * nsub
-    for mask in range(1, nsub):
-        low = mask & -mask
-        nb[mask] = nb[mask ^ low] | g.neighbors(low.bit_length() - 1)
-    rows = [0] * nsub
-    for a in range(nsub):
-        nba = nb[a]
-        for b in range(a + 1, nsub):
-            if b & nba:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    result = max_clique(CliqueInstance(nsub, tuple(rows)))
-    result.witness = [
-        tuple(v for v in range(g.vertex_count) if mask >> v & 1)
-        for mask in result.witness
-    ]
+    result = _subset_family(g)
+    result.witness = [tuple(_bits(mask)) for mask in result.witness]
     return result
 
 
@@ -317,45 +331,17 @@ def exact_attractive(f_graph: Graph, g_graph: Graph, n: int) -> ExtremalResult:
     count = gv ** n
     if count > MAX_ELEMENTS:
         raise ValueError(f"|V(g)|^n = {count} exceeds the cap of {MAX_ELEMENTS}")
-    maps = list(itertools.product(range(gv), repeat=n))
-    fpairs = [
-        (i, j) for i in range(n) for j in range(n) if f_graph.adjacent(i, j)
+    # Product graph: vertex i*gv + u means "position i takes value u".
+    nbrs = [
+        sum(g_graph.neighbors(u) << j * gv for j in range(n) if f_graph.adjacent(i, j))
+        for i in range(n)
+        for u in range(gv)
     ]
-
-    def related(ia: int, ib: int) -> bool:
-        a, b = maps[ia], maps[ib]
-        return any(g_graph.adjacent(a[i], b[j]) for i, j in fpairs)
-
-    result = max_clique(CliqueInstance.from_relation(count, related))
+    maps = list(itertools.product(range(gv), repeat=n))
+    codes = [sum(1 << i * gv + u for i, u in enumerate(m)) for m in maps]
+    result = max_clique(CliqueInstance.from_neighborhoods(nbrs, codes))
     result.witness = [maps[i] for i in result.witness]
     return result
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """The two-sided bracket on the exact skewincidence maximum at one n."""
-
-    n: int
-    construction_size: int
-    exact_size: int
-    upper_bound: int
-
-    @property
-    def ok(self) -> bool:
-        return self.construction_size <= self.exact_size <= self.upper_bound
-
-
-def sandwich_check(n: int) -> SandwichReport:
-    """Bracket exact_M(n) between the construction size and the
-    antichain-complement bound 2^n - (f_n - m_n)."""
-    if not 1 <= n <= EXACT_M_DEFAULT_CAP:
-        raise ValueError(f"n must be in [1, {EXACT_M_DEFAULT_CAP}], got {n}")
-    from .sperner import max_antichain  # import here: sperner builds on solver
-
-    lower = count_C(n)
-    exact = exact_M(n).size
-    upper = (1 << n) - (fibonacci_count(n) - max_antichain(n).size)
-    return SandwichReport(n, lower, exact, upper)
 
 
 def witness_descriptor(item: object) -> object:

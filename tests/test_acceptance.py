@@ -27,7 +27,8 @@ from skewlab.counting import (
     tail_probability,
 )
 from skewlab.graphs import all_loops, complete_multipartite, path, skew_alphabet
-from skewlab.solver import exact_M, exact_MG, multipartite_M, sandwich_check
+from skewlab.report import sandwich_check
+from skewlab.solver import exact_M, exact_MG, multipartite_M
 from skewlab.sperner import max_antichain, max_antichain_oracle
 
 

@@ -84,7 +84,7 @@ def test_theorem_table_rows():
 
 
 def test_theorem_table_blank_antichain_beyond_cap():
-    table = theorem_table(25, antichain_max_n=20)
+    table = theorem_table(25)
     by_n = {row[0]: row for row in table.rows}
     assert by_n[20][4] == fib_minus(20)
     assert by_n[21][4] is None and by_n[21][6] is None
@@ -245,14 +245,14 @@ def test_cli_invalid_arguments(capsys):
         main(["no-such-command"])
 
 
-def test_cli_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("SKEWLAB_THREADS", "4")
-    assert main(["gamma-dist", "--n", "1"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("SKEWLAB_THREADS", "banana")
-    with pytest.raises(SystemExit) as exc:
-        main(["gamma-dist", "--n", "1"])
-    assert exc.value.code == 2
+def test_cli_rejects_reversed_range(capsys):
+    for command in ("sperner", "report"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n-range", "5..3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad range" in captured.err
 
 
 def test_run_config_direct():

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from skewlab.bitstring import skewincident
+from skewlab import solver
+from skewlab.bitstring import skewincident, skewincident_bits
 from skewlab.graphs import Graph, all_loops, complete_multipartite, path, skew_alphabet
 from skewlab.solver import (
     CliqueInstance,
@@ -17,8 +18,8 @@ from skewlab.solver import (
     max_clique,
     multipartite_M,
     result_to_json,
-    sandwich_check,
 )
+from skewlab.report import sandwich_check
 from tables import MAX_FAMILY, MAX_FAMILY_WITNESS_3
 
 
@@ -68,6 +69,10 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         CliqueInstance(2, (0,))
     with pytest.raises(ValueError):
+        CliqueInstance(2, (0b11, 0b11))  # self bits: greedy would never stop
+    with pytest.raises(ValueError):
+        CliqueInstance(2, (0b100, 0b001))  # index 2 is outside the instance
+    with pytest.raises(ValueError):
         CliqueInstance.from_relation(5000, lambda i, j: False)
     with pytest.raises(ValueError):
         enumerate_max_clique(random_instance(21, 0.5, 0))
@@ -104,6 +109,63 @@ def test_determinism():
     for _ in range(3):
         again = max_clique(inst)
         assert (again.size, again.witness) == (first.size, first.witness)
+
+
+def built_instance(monkeypatch, extremal, *args) -> CliqueInstance:
+    """The instance an extremal function hands to the clique engine."""
+    seen = []
+    engine = solver.max_clique
+
+    def capture(instance):
+        seen.append(instance)
+        return engine(instance)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "max_clique", capture)
+        extremal(*args)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def test_exact_M_relation_is_skewincidence(monkeypatch):
+    for n in range(1, 9):
+        inst = built_instance(monkeypatch, exact_M, n)
+        assert inst.rows == CliqueInstance.from_relation(1 << n, skewincident_bits).rows, n
+
+
+def test_exact_MG_relation_is_pairwise_neighbor(monkeypatch):
+    rng = random.Random(21)
+    for trial in range(12):
+        vertices = 1 + trial % 6
+        pairs = [(u, v) for u in range(vertices) for v in range(u, vertices)]
+        g = Graph(vertices, [e for e in pairs if rng.random() < 0.4])
+
+        def neighbor_pair(a: int, b: int) -> bool:
+            return any(
+                g.adjacent(u, v)
+                for u in range(vertices) if a >> u & 1
+                for v in range(vertices) if b >> v & 1
+            )
+
+        inst = built_instance(monkeypatch, exact_MG, g)
+        assert inst.rows == CliqueInstance.from_relation(1 << vertices, neighbor_pair).rows, g
+
+
+def test_exact_attractive_relation_is_attraction(monkeypatch):
+    alphabets = (skew_alphabet(), path(3), complete_multipartite((1, 1)))
+    for n in range(1, 5):
+        for f_graph in (path(n), all_loops(n)):
+            for g_graph in alphabets:
+                maps = list(itertools.product(range(g_graph.vertex_count), repeat=n))
+                fpairs = [(i, j) for i in range(n) for j in range(n) if f_graph.adjacent(i, j)]
+
+                def attractive(ia: int, ib: int) -> bool:
+                    a, b = maps[ia], maps[ib]
+                    return any(g_graph.adjacent(a[i], b[j]) for i, j in fpairs)
+
+                inst = built_instance(monkeypatch, exact_attractive, f_graph, g_graph, n)
+                expected = CliqueInstance.from_relation(len(maps), attractive)
+                assert inst.rows == expected.rows, (n, f_graph, g_graph)
 
 
 def test_exact_M_values():

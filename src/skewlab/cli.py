@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass
 
 from . import constructions, counting, graphs, report, solver, sperner
-from .bitstring import gamma_bits, skewincident_bits
 from .counting import CrossoverNotFoundError
 from .report import Table, render
 
@@ -126,16 +125,11 @@ def _cmd_verify(config: RunConfig) -> int:
         _emit(config, f"counterexample: ({verdict[0]}, {verdict[1]})\n")
         return 1
     if config.check == "disjointness":
-        n = config.n
-        if not 1 <= n <= 12:
-            raise ValueError(f"disjointness scan is capped at n = 12, got {n}")
-        g = [gamma_bits(x, n) for x in range(1 << n)]
-        for x in range(1 << n):
-            for y in range(x, 1 << n):
-                if g[x] + g[y] > 2 * n and not skewincident_bits(x, y):
-                    _emit(config, f"counterexample: ({x:0{n}b}, {y:0{n}b})\n")
-                    return 1
-        _emit(config, f"ok: gamma-sum implication holds on all pairs at n={n}\n")
+        pair = constructions.disjointness_counterexample(config.n)
+        if pair is not None:
+            _emit(config, f"counterexample: ({pair[0]}, {pair[1]})\n")
+            return 1
+        _emit(config, f"ok: gamma-sum implication holds on all pairs at n={config.n}\n")
         return 0
     if config.check == "sandwich":
         rep = report.sandwich_check(config.n)

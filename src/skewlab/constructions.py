@@ -12,7 +12,7 @@ from .bitstring import (
     gamma,
     gamma_bits,
     influence_bits,
-    skewincident,
+    skewincident_bits,
 )
 
 MAX_ENUMERATION_LENGTH = 24
@@ -73,6 +73,11 @@ def verify_pairwise_skewincident(
     return None
 
 
+def _gamma_sum_implication(x: int, y: int, gamma_sum: int, n: int) -> bool:
+    """The disjointness argument on raw bits: gamma sum > 2n forces skewincidence."""
+    return gamma_sum <= 2 * n or skewincident_bits(x, y)
+
+
 def verify_disjointness_argument(x: BitString, y: BitString) -> bool:
     """Check on one pair: if gamma(x) + gamma(y) > 2n then x, y are skewincident.
 
@@ -82,9 +87,20 @@ def verify_disjointness_argument(x: BitString, y: BitString) -> bool:
         raise LengthMismatchError(
             f"incompatible operands: lengths {x.length} and {y.length}"
         )
-    if gamma(x) + gamma(y) <= 2 * x.length:
-        return True
-    return skewincident(x, y)
+    return _gamma_sum_implication(x.bits, y.bits, gamma(x) + gamma(y), x.length)
+
+
+def disjointness_counterexample(n: int) -> tuple[BitString, BitString] | None:
+    """The first pair x <= y of length-n strings (by value) that breaks the
+    disjointness argument, or None when it holds on every pair."""
+    if not 1 <= n <= 12:
+        raise ValueError(f"disjointness scan is capped at n = 12, got {n}")
+    g = [gamma_bits(x, n) for x in range(1 << n)]
+    for x in range(1 << n):
+        for y in range(x, 1 << n):
+            if not _gamma_sum_implication(x, y, g[x] + g[y], n):
+                return BitString(n, x), BitString(n, y)
+    return None
 
 
 def greedy_maximal_extension(family: Family) -> Family:

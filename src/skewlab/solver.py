@@ -7,8 +7,9 @@ graph and the codes differ: the path P_n with every subset as a code gives
 pairwise-skewincident strings; g with every subset gives pairwise-neighbor
 subset families; the product F x G with one-hot (position, value) codes
 gives pairwise-attractive mappings. So one relation builder and one exact
-branch-and-bound engine back them all. Self-relation never matters:
-families are constrained on distinct pairs only.
+branch-and-bound engine back them all; that engine is one iterative,
+explicit-stack search serving both the size search and the witness pass.
+Self-relation never matters: families are constrained on distinct pairs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import functools
 import itertools
 import json
 import operator
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -152,50 +152,39 @@ def _degree_order(rows: Sequence[int], count: int) -> tuple[list[int], list[int]
     return order, pos, rrows
 
 
-def _max_clique_search(rrows: Sequence[int], count: int) -> tuple[int, list[int]]:
-    """Exact maximum clique (size and one witness) over reordered rows."""
-    best_members = _greedy_clique(rrows, count)
-    best = len(best_members)
-    stack: list[int] = []
+def _search(rrows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | None:
+    """The largest clique inside candidate set ``p`` with more than ``floor``
+    members, or None; returns as soon as a clique reaches ``stop`` members.
 
-    def expand(p: int) -> None:
-        nonlocal best, best_members
-        corder, cbounds = _greedy_color_order(p, rrows)
-        for i in range(len(corder) - 1, -1, -1):
-            if len(stack) + cbounds[i] <= best:
-                return
-            v = corder[i]
-            sub = p & rrows[v]
-            stack.append(v)
-            if sub:
-                expand(sub)
-            elif len(stack) > best:
-                best = len(stack)
-                best_members = stack.copy()
+    Frames are [candidates, color order, color bounds]. A frame branches on
+    its last-colored vertex, removed from its candidates first, and ends when
+    the clique plus that vertex's color bound cannot beat the floor; every
+    clique that does beat it raises the floor."""
+    best = None
+    clique: list[int] = []
+    stack = [[p, *_greedy_color_order(p, rrows)]]
+    while stack:
+        frame = stack[-1]
+        p, corder, cbounds = frame
+        if not corder or len(clique) + cbounds[-1] <= floor:
             stack.pop()
-            p &= ~(1 << v)
-
-    expand((1 << count) - 1)
-    return best, best_members
-
-
-def _clique_witness(rrows: Sequence[int], p: int, need: int) -> list[int] | None:
-    """A clique of exactly ``need`` members inside the candidate set, or None."""
-    if need <= 0:
-        return []
-    corder, cbounds = _greedy_color_order(p, rrows)
-    if not cbounds or cbounds[-1] < need:
-        return None
-    for i in range(len(corder) - 1, -1, -1):
-        if cbounds[i] < need:
-            return None
-        v = corder[i]
-        rest = _clique_witness(rrows, p & rrows[v], need - 1)
-        if rest is not None:
-            rest.append(v)
-            return rest
-        p &= ~(1 << v)
-    return None
+            if stack:
+                clique.pop()
+            continue
+        v = corder.pop()
+        cbounds.pop()
+        frame[0] = p & ~(1 << v)
+        clique.append(v)
+        if len(clique) > floor:
+            best, floor = clique.copy(), len(clique)
+            if floor >= stop:
+                return best
+        sub = p & rrows[v]
+        if sub:
+            stack.append([sub, *_greedy_color_order(sub, rrows)])
+        else:
+            clique.pop()
+    return best
 
 
 def max_clique(instance: CliqueInstance) -> ExtremalResult:
@@ -207,36 +196,33 @@ def max_clique(instance: CliqueInstance) -> ExtremalResult:
     carried along so only genuine exclusions pay for a search.
     """
     t0 = time.perf_counter()
-    rows, count = instance.rows, instance.count
-    old_limit = sys.getrecursionlimit()
-    needed = count + 200
-    if needed > old_limit:
-        sys.setrecursionlimit(needed)
-    try:
-        order, pos, rrows = _degree_order(rows, count)
-        size, members = _max_clique_search(rrows, count)
-        known = {order[v] for v in members}  # certifies the remaining target
-        witness: list[int] = []
-        p = (1 << count) - 1  # candidates, in reordered labels
-        for i in range(count):
-            if len(witness) == size:
-                break
-            ri = pos[i]
-            if not p >> ri & 1:
-                continue
-            if i in known:
-                witness.append(i)
-                p &= rrows[ri]
-                continue
-            completion = _clique_witness(rrows, p & rrows[ri], size - len(witness) - 1)
-            if completion is not None:
-                witness.append(i)
-                p &= rrows[ri]
-                known = set(witness) | {order[v] for v in completion}
-            else:
-                p &= ~(1 << ri)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    count = instance.count
+    order, pos, rrows = _degree_order(instance.rows, count)
+    full = (1 << count) - 1
+    greedy = _greedy_clique(rrows, count)
+    members = _search(rrows, full, len(greedy), count) or greedy
+    size = len(members)
+    known = {order[v] for v in members}  # certifies the remaining target
+    witness: list[int] = []
+    p = full  # candidates, in reordered labels
+    for i in range(count):
+        if len(witness) == size:
+            break
+        ri = pos[i]
+        if not p >> ri & 1:
+            continue
+        if i in known:
+            witness.append(i)
+            p &= rrows[ri]
+            continue
+        need = size - len(witness) - 1
+        completion = _search(rrows, p & rrows[ri], need - 1, need) if need else []
+        if completion is not None:
+            witness.append(i)
+            p &= rrows[ri]
+            known = set(witness) | {order[v] for v in completion}
+        else:
+            p &= ~(1 << ri)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return ExtremalResult(size, witness, "branch-and-bound", elapsed)
 

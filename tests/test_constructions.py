@@ -5,6 +5,7 @@ import pytest
 from skewlab.bitstring import BitString, Family, LengthMismatchError, comparable, gamma, is_fibonacci
 from skewlab.constructions import (
     NotPairwiseSkewincidentError,
+    disjointness_counterexample,
     enumerate_C,
     enumerate_fibonacci,
     family_from_json,
@@ -87,6 +88,14 @@ def test_disjointness_argument_all_pairs():
         for x in xs:
             for y in xs:
                 assert verify_disjointness_argument(x, y), (str(x), str(y))
+
+
+def test_disjointness_scan():
+    for n in range(1, 9):
+        assert disjointness_counterexample(n) is None, n
+    for n in (0, 13):
+        with pytest.raises(ValueError, match=f"disjointness scan is capped at n = 12, got {n}"):
+            disjointness_counterexample(n)
 
 
 def test_greedy_extension_grows_strictly():

@@ -169,7 +169,9 @@ def test_cli_verify_pairwise(capsys):
 
 
 def test_cli_verify_other_checks(capsys):
-    assert run_cli(capsys, "verify", "--check", "disjointness", "--n", "8")[0] == 0
+    assert run_cli(capsys, "verify", "--check", "disjointness", "--n", "8") == (
+        0, "ok: gamma-sum implication holds on all pairs at n=8\n")
+    assert run_cli(capsys, "verify", "--check", "disjointness", "--n", "13") == (2, "")
     assert run_cli(capsys, "verify", "--check", "sandwich", "--n", "4")[0] == 0
     assert run_cli(capsys, "verify", "--check", "projection", "--n", "6")[0] == 0
 

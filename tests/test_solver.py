@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -109,6 +110,56 @@ def test_determinism():
     for _ in range(3):
         again = max_clique(inst)
         assert (again.size, again.witness) == (first.size, first.witness)
+
+
+def test_degree_order_matches_naive_relabel():
+    cases = [(1, 0.5, 0), (9, 0.4, 31), (23, 0.3, 32), (40, 0.6, 33), (70, 0.1, 34)]
+    for count, density, seed in cases:
+        inst = random_instance(count, density, seed)
+        order, pos, rrows = solver._degree_order(inst.rows, count)
+        assert sorted(order) == list(range(count))
+        assert all(pos[v] == i for i, v in enumerate(order))
+        degree = [sum(inst.related(v, u) for u in range(count)) for v in range(count)]
+        keys = [(-degree[v], v) for v in order]
+        assert keys == sorted(keys)
+        for i in range(count):
+            assert not rrows[i] >> i & 1
+            for j in range(count):
+                assert rrows[i] >> j & 1 == inst.rows[order[i]] >> order[j] & 1, (seed, i, j)
+
+
+def test_recursion_limit_untouched(monkeypatch):
+    limit = sys.getrecursionlimit()
+
+    def refuse(new_limit: int) -> None:
+        raise AssertionError(f"setrecursionlimit({new_limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert exact_MG(all_loops(10)).size == 512  # 1,024 elements
+    assert sys.getrecursionlimit() == limit
+
+
+def test_search_work_is_pinned(monkeypatch):
+    """Colorings made and vertices colored over the size search and the
+    witness pass together; a pruning change shows up here as a diff."""
+    colored = []
+    color_order = solver._greedy_color_order
+
+    def counted(p: int, rows):
+        colored.append(p.bit_count())
+        return color_order(p, rows)
+
+    monkeypatch.setattr(solver, "_greedy_color_order", counted)
+    cases = [
+        (exact_M, 6, 8, 330),
+        (exact_M, 8, 1149, 99360),
+        (exact_MG, complete_multipartite((2, 2, 2)), 2, 64),
+        (exact_MG, all_loops(10), 513, 131840),
+    ]
+    for extremal, arg, calls, vertices in cases:
+        colored.clear()
+        extremal(arg)
+        assert (len(colored), sum(colored)) == (calls, vertices), (extremal.__name__, arg)
 
 
 def built_instance(monkeypatch, extremal, *args) -> CliqueInstance:

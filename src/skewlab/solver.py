@@ -45,7 +45,13 @@ def _union(bitsets: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class CliqueInstance:
-    """A symmetric relation over element indices, as bitset adjacency rows."""
+    """A symmetric relation over element indices, as bitset adjacency rows.
+
+    Symmetry (bit j of rows[i] iff bit i of rows[j]) is a precondition that
+    is not checked here, since a full check costs O(count^2) bits;
+    ``max_clique`` re-checks its witness against the rows in both directions
+    and raises ValueError when they disagree.
+    """
 
     count: int
     rows: tuple[int, ...]
@@ -223,6 +229,10 @@ def max_clique(instance: CliqueInstance) -> ExtremalResult:
             known = set(witness) | {order[v] for v in completion}
         else:
             p &= ~(1 << ri)
+    wmask = sum(1 << w for w in witness)
+    for w in witness:
+        if (instance.rows[w] | 1 << w) & wmask != wmask:
+            raise ValueError(f"relation is not symmetric: row {w} misses a witness member")
     elapsed = (time.perf_counter() - t0) * 1000.0
     return ExtremalResult(size, witness, "branch-and-bound", elapsed)
 

@@ -1,11 +1,13 @@
 """Exact maximum antichains inside the no-adjacent-ones strings.
 
-The primary route goes through chain covers: over the full dominance order
-(every strictly-dominated pair, not just covering pairs) a minimum chain
-cover has size (number of elements) - (maximum bipartite matching on the
-two-copy split graph), and that cover size equals the maximum antichain.
-A witness antichain falls out of the matching via the standard
-alternating-reachability vertex cover. An independent oracle solves the
+The primary route is one maximum bipartite matching over cover edges: x is
+joined to each string that x covers, that is x with one set bit cleared.
+Following matched edges glues the strings into (number of strings) -
+(matching size) chains that partition the poset, each step adding one bit.
+An antichain meets every chain at most once, so no antichain is larger than
+that count; the largest rank level (strings of one weight) is an antichain,
+and when its size equals the chain count, both are optimal. That equality is
+the certificate, checked on every call. An independent oracle solves the
 same question as a maximum clique of the incomparability relation.
 """
 
@@ -14,18 +16,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .bitstring import BitString
+from .bitstring import BitString, weight
 from .constructions import enumerate_fibonacci
 from .counting import fibonacci_count
 from .solver import CliqueInstance, max_clique
 
 MAX_POSET_LENGTH = 20
 ORACLE_MAX_LENGTH = 10
-
-
-def _check_poset_length(n: int) -> None:
-    if not 1 <= n <= MAX_POSET_LENGTH:
-        raise ValueError(f"n must be in [1, {MAX_POSET_LENGTH}], got {n}")
 
 
 @dataclass(frozen=True)
@@ -48,32 +45,21 @@ class FibonacciPoset:
 
 
 def build_fibonacci_poset(n: int) -> FibonacciPoset:
-    _check_poset_length(n)
+    if not 1 <= n <= MAX_POSET_LENGTH:
+        raise ValueError(f"n must be in [1, {MAX_POSET_LENGTH}], got {n}")
     return FibonacciPoset(n, tuple(enumerate_fibonacci(n).sorted_members()))
 
 
-def _strict_dominance_matching(
-    bits: list[int],
-) -> tuple[list[int], list[int], list[list[int]]]:
-    """Maximum matching over all strictly-dominated pairs.
+def _cover_matching(bits: list[int]) -> tuple[list[int], list[int]]:
+    """Maximum matching over cover edges.
 
-    Left copy u connects to right copy v iff bits[v] is a proper submask of
-    bits[u]. Greedy seeding in index order, then Hopcroft-Karp phases;
-    returns (match_of_left, match_of_right, adjacency).
+    Left copy u connects to right copy v iff bits[v] is bits[u] with one set
+    bit cleared. Greedy seeding in index order, then Hopcroft-Karp phases;
+    returns (match_of_left, match_of_right).
     """
     index = {b: i for i, b in enumerate(bits)}
     count = len(bits)
-    adj: list[list[int]] = [[] for _ in range(count)]
-    for u, b in enumerate(bits):
-        if b == 0:
-            continue
-        targets = adj[u]
-        sub = (b - 1) & b
-        while True:
-            targets.append(index[sub])
-            if sub == 0:
-                break
-            sub = (sub - 1) & b
+    adj = [[index[b & ~(1 << j)] for j in range(b.bit_length()) if b >> j & 1] for b in bits]
 
     match_left = [-1] * count
     match_right = [-1] * count
@@ -109,7 +95,7 @@ def _strict_dominance_matching(
                     dist[w] = du + 1
                     queue.append(w)
         if shortest == infinity:
-            return match_left, match_right, adj
+            return match_left, match_right
 
         def augment(u: int) -> bool:
             for v in adj[u]:
@@ -160,43 +146,23 @@ def max_antichain(n: int) -> AntichainResult:
     """Exact maximum antichain of the dominance order on the length-n
     no-adjacent-ones strings.
 
-    Size comes from the minimum chain cover; the witness consists of the
-    elements whose left copy is alternating-reachable from an unmatched left
-    vertex while the right copy is not, and is re-verified pairwise
-    incomparable before it is returned.
+    Size is the number of chains glued from the cover-edge matching. The
+    witness is the largest rank level, the lowest weight when levels tie,
+    in lexicographic order. The chains bound every antichain from above and
+    the level is an antichain, so a level as large as the chain count
+    certifies both as optimal; anything else raises. The witness is also
+    re-verified pairwise incomparable before it is returned.
     """
-    _check_poset_length(n)
-    elements = enumerate_fibonacci(n).sorted_members()
-    bits = [e.bits for e in elements]
-    match_left, match_right, adj = _strict_dominance_matching(bits)
-    matched = sum(1 for v in match_right if v != -1)
-    size = len(bits) - matched
-
-    # alternating reachability from unmatched left copies:
-    # left -> right over non-matching edges, right -> left over matching edges
-    left_reached = [False] * len(bits)
-    right_reached = [False] * len(bits)
-    queue = deque(u for u in range(len(bits)) if match_left[u] == -1)
-    for u in queue:
-        left_reached[u] = True
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if match_left[u] == v or right_reached[v]:
-                continue
-            right_reached[v] = True
-            w = match_right[v]
-            if w != -1 and not left_reached[w]:
-                left_reached[w] = True
-                queue.append(w)
-    witness = [
-        elements[i]
-        for i in range(len(bits))
-        if left_reached[i] and not right_reached[i]
-    ]
+    elements = build_fibonacci_poset(n).elements
+    _, match_right = _cover_matching([e.bits for e in elements])
+    size = match_right.count(-1)  # one chain per string no larger one is matched to
+    levels: list[list[BitString]] = [[] for _ in range(n + 1)]
+    for e in elements:
+        levels[weight(e)].append(e)
+    witness = max(levels, key=len)
     if len(witness) != size:
         raise AssertionError(
-            f"cover extraction produced {len(witness)} elements, expected {size}"
+            f"{size} chains but the largest rank level has {len(witness)} elements"
         )
     _verify_antichain([w.bits for w in witness])
     return AntichainResult(n, size, tuple(witness))
@@ -205,12 +171,10 @@ def max_antichain(n: int) -> AntichainResult:
 def minimum_chain_cover(n: int) -> list[list[BitString]]:
     """Partition of the length-n poset into the fewest chains, each listed in
     ascending dominance order; their number equals the maximum antichain."""
-    _check_poset_length(n)
-    elements = enumerate_fibonacci(n).sorted_members()
-    bits = [e.bits for e in elements]
-    match_left, match_right, _ = _strict_dominance_matching(bits)
+    elements = build_fibonacci_poset(n).elements
+    match_left, match_right = _cover_matching([e.bits for e in elements])
     chains = []
-    for start in range(len(bits)):
+    for start in range(len(elements)):
         if match_right[start] != -1:
             continue  # not a chain top: something dominates it within its chain
         chain = []
@@ -228,7 +192,7 @@ def max_antichain_oracle(n: int) -> int:
     """Independent route: maximum clique of the incomparability relation."""
     if not 1 <= n <= ORACLE_MAX_LENGTH:
         raise ValueError(f"n must be in [1, {ORACLE_MAX_LENGTH}], got {n}")
-    bits = [e.bits for e in enumerate_fibonacci(n).sorted_members()]
+    bits = [e.bits for e in build_fibonacci_poset(n).elements]
 
     def incomparable(i: int, j: int) -> bool:
         a, b = bits[i], bits[j]

@@ -73,6 +73,8 @@ def test_instance_validation():
         CliqueInstance(2, (0b11, 0b11))  # self bits: greedy would never stop
     with pytest.raises(ValueError):
         CliqueInstance(2, (0b100, 0b001))  # index 2 is outside the instance
+    with pytest.raises(ValueError, match="not symmetric"):
+        max_clique(CliqueInstance(3, (0b110, 0, 0)))  # 0 relates to 1, 1 not to 0
     with pytest.raises(ValueError):
         CliqueInstance.from_relation(5000, lambda i, j: False)
     with pytest.raises(ValueError):

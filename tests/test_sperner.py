@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from skewlab import sperner
 from skewlab.bitstring import comparable, is_fibonacci, leq, weight
 from skewlab.counting import fibonacci_count
 from skewlab.sperner import (
@@ -78,6 +79,12 @@ def test_small_antichain_witnesses():
     w4 = max_antichain(4)
     assert w4.size == 4
     assert {weight(w) for w in w4.witness} == {1}  # the four weight-1 strings
+    # levels tie at n = 1 (weights 0 and 1) and n = 19 (weights 5 and 6,
+    # 3,003 each): the lower weight wins
+    assert [str(w) for w in max_antichain(1).witness] == ["0"]
+    level5 = [e for e in build_fibonacci_poset(19).elements if weight(e) == 5]
+    assert len(level5) == 3003
+    assert list(max_antichain(19).witness) == level5
 
 
 def test_chain_cover_partitions_poset():
@@ -89,7 +96,16 @@ def test_chain_cover_partitions_poset():
         assert len(set(seen)) == len(seen)
         for chain in chains:
             for a, b in zip(chain, chain[1:]):
-                assert leq(a, b) and a != b
+                assert leq(a, b) and (a.bits ^ b.bits).bit_count() == 1
+
+
+def test_certificate_check_fires(monkeypatch):
+    # with no matching every string is its own chain, more than any level
+    monkeypatch.setattr(
+        sperner, "_cover_matching", lambda bits: ([-1] * len(bits), [-1] * len(bits))
+    )
+    with pytest.raises(AssertionError):
+        max_antichain(5)
 
 
 def test_oracle_agrees_with_matching():

@@ -45,11 +45,24 @@ def enumerate_C(n: int) -> Family:
     return Family(n, members)
 
 
+def fibonacci_masks(n: int) -> list[int]:
+    """The length-n masks with no two adjacent 1s, ascending.
+
+    By the Fibonacci recursion: the masks of length k are those of length
+    k-1 followed by 2^(k-1) plus each mask of length k-2, so f_n masks are
+    built without scanning all 2^n and come out already in order.
+    """
+    shorter, masks = [0], [0, 1]
+    for k in range(2, n + 1):
+        top = 1 << k - 1
+        shorter, masks = masks, masks + [top | m for m in shorter]
+    return masks
+
+
 def enumerate_fibonacci(n: int) -> Family:
     """All length-n strings with no two adjacent 1s."""
     _check_enumeration_length(n)
-    members = frozenset(BitString(n, x) for x in range(1 << n) if x & (x >> 1) == 0)
-    return Family(n, members)
+    return Family(n, frozenset(BitString(n, x) for x in fibonacci_masks(n)))
 
 
 def verify_pairwise_skewincident(

@@ -130,15 +130,22 @@ def _greedy_color_order(p: int, rows: Sequence[int]) -> tuple[list[int], list[in
     return order, bounds
 
 
-def _greedy_clique(rows: Sequence[int], count: int) -> list[int]:
-    """A maximal clique: repeatedly take the lowest remaining candidate."""
-    members: list[int] = []
-    cur = (1 << count) - 1
-    while cur:
-        v = (cur & -cur).bit_length() - 1
-        members.append(v)
-        cur &= rows[v]
-    return members
+def _greedy_clique(rows: Sequence[int], cand: int, kept: int, need: int) -> int:
+    """The clique ``kept`` inside candidate set ``cand``, grown by repeatedly
+    taking the lowest common candidate until it has ``need`` members or none
+    is left; a mask. ``kept`` may not already exceed ``need``."""
+    have = kept.bit_count()
+    if have > need:
+        raise AssertionError(f"a clique of {have} members where {need} is the optimum")
+    if have < need:  # narrowing to kept's common candidates is needed only to grow
+        for v in _bits(kept):
+            cand &= rows[v]
+    while have < need and cand:
+        low = cand & -cand
+        kept |= low
+        have += 1
+        cand &= rows[low.bit_length() - 1]
+    return kept
 
 
 def _degree_order(rows: Sequence[int], count: int) -> tuple[list[int], list[int], list[int]]:
@@ -198,17 +205,19 @@ def max_clique(instance: CliqueInstance) -> ExtremalResult:
 
     The witness is the lexicographically first optimum: after the size is
     fixed by the search, elements are committed in ascending index order
-    whenever a completion to that size still exists. A current optimum is
-    carried along so only genuine exclusions pay for a search.
+    whenever a completion to that size still exists. An optimum is carried
+    along, and each completion is first repaired from it: its members that
+    remain candidates are kept and grown greedily. Only when that falls
+    short does a search decide, so mostly exclusions pay for one.
     """
     t0 = time.perf_counter()
     count = instance.count
-    order, pos, rrows = _degree_order(instance.rows, count)
+    _, pos, rrows = _degree_order(instance.rows, count)
     full = (1 << count) - 1
-    greedy = _greedy_clique(rrows, count)
-    members = _search(rrows, full, len(greedy), count) or greedy
-    size = len(members)
-    known = {order[v] for v in members}  # certifies the remaining target
+    greedy = _greedy_clique(rrows, full, 0, count)
+    found = _search(rrows, full, greedy.bit_count(), count)
+    known = greedy if found is None else _union(1 << v for v in found)
+    size = known.bit_count()  # known: a carried optimum's members beyond the witness
     witness: list[int] = []
     p = full  # candidates, in reordered labels
     for i in range(count):
@@ -217,16 +226,16 @@ def max_clique(instance: CliqueInstance) -> ExtremalResult:
         ri = pos[i]
         if not p >> ri & 1:
             continue
-        if i in known:
-            witness.append(i)
-            p &= rrows[ri]
-            continue
+        cand = p & rrows[ri]
         need = size - len(witness) - 1
-        completion = _search(rrows, p & rrows[ri], need - 1, need) if need else []
+        completion = _greedy_clique(rrows, cand, known & cand, need)
+        if completion.bit_count() < need:
+            found = _search(rrows, cand, need - 1, need)
+            completion = None if found is None else _union(1 << v for v in found)
         if completion is not None:
             witness.append(i)
-            p &= rrows[ri]
-            known = set(witness) | {order[v] for v in completion}
+            p = cand
+            known = completion
         else:
             p &= ~(1 << ri)
     wmask = sum(1 << w for w in witness)

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .bitstring import BitString, weight
-from .constructions import enumerate_fibonacci
+from .constructions import fibonacci_masks
 from .counting import fibonacci_count
 from .solver import CliqueInstance, max_clique
 
@@ -47,15 +47,16 @@ class FibonacciPoset:
 def build_fibonacci_poset(n: int) -> FibonacciPoset:
     if not 1 <= n <= MAX_POSET_LENGTH:
         raise ValueError(f"n must be in [1, {MAX_POSET_LENGTH}], got {n}")
-    return FibonacciPoset(n, tuple(enumerate_fibonacci(n).sorted_members()))
+    return FibonacciPoset(n, tuple(BitString(n, x) for x in fibonacci_masks(n)))
 
 
 def _cover_matching(bits: list[int]) -> tuple[list[int], list[int]]:
     """Maximum matching over cover edges.
 
     Left copy u connects to right copy v iff bits[v] is bits[u] with one set
-    bit cleared. Greedy seeding in index order, then Hopcroft-Karp phases;
-    returns (match_of_left, match_of_right).
+    bit cleared. Greedy seeding in index order, then Hopcroft-Karp phases,
+    each augmenting along vertex-disjoint shortest paths found depth-first
+    in adjacency order; returns (match_of_left, match_of_right).
     """
     index = {b: i for i, b in enumerate(bits)}
     count = len(bits)
@@ -72,6 +73,31 @@ def _cover_matching(bits: list[int]) -> tuple[list[int], list[int]]:
 
     infinity = count + 1
     dist = [0] * count
+
+    def augment(root: int, shortest: int) -> None:
+        """Flip the first shortest augmenting path from the free left vertex
+        ``root``, searched depth-first in adjacency order; a left vertex on
+        no such path is marked unreachable for the rest of the phase."""
+        stack = [(root, iter(adj[root]))]
+        taken: list[int] = []  # taken[k] joins stack[k] to stack[k + 1], its match
+        while stack:
+            u, edges = stack[-1]
+            for v in edges:
+                w = match_right[v]
+                if w == -1 and dist[u] + 1 == shortest:
+                    for (a, _), b in zip(stack, taken + [v]):
+                        match_left[a] = b
+                        match_right[b] = a
+                    return
+                if w != -1 and dist[w] == dist[u] + 1:
+                    taken.append(v)
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = infinity
+                stack.pop()
+                del taken[-1:]
+
     while True:
         queue: deque[int] = deque()
         for u in range(count):
@@ -96,26 +122,9 @@ def _cover_matching(bits: list[int]) -> tuple[list[int], list[int]]:
                     queue.append(w)
         if shortest == infinity:
             return match_left, match_right
-
-        def augment(u: int) -> bool:
-            for v in adj[u]:
-                w = match_right[v]
-                if w == -1:
-                    if dist[u] + 1 == shortest:
-                        match_left[u] = v
-                        match_right[v] = u
-                        return True
-                elif dist[w] == dist[u] + 1:
-                    if augment(w):
-                        match_left[u] = v
-                        match_right[v] = u
-                        return True
-            dist[u] = infinity
-            return False
-
         for u in range(count):
             if match_left[u] == -1:
-                augment(u)
+                augment(u, shortest)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from skewlab.constructions import (
     family_from_lines,
     family_to_json,
     family_to_lines,
+    fibonacci_masks,
     greedy_maximal_extension,
     verify_disjointness_argument,
     verify_pairwise_skewincident,
@@ -56,6 +57,12 @@ def test_enumerate_fibonacci_counts():
         fam = enumerate_fibonacci(n)
         assert all(is_fibonacci(m) for m in fam.members)
         assert len(fam) == fibonacci_count(n)
+
+
+def test_fibonacci_masks_equal_the_scan():
+    for n in range(1, 21):
+        assert fibonacci_masks(n) == [x for x in range(1 << n) if x & x >> 1 == 0], n
+    assert [m.bits for m in enumerate_fibonacci(12).sorted_members()] == fibonacci_masks(12)
 
 
 def test_verify_pairwise_ok_cases():

@@ -1,5 +1,6 @@
 """Exact search engine and the extremal quantities built on it."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -36,21 +37,25 @@ def random_instance(count: int, density: float, seed: int) -> CliqueInstance:
 
 
 def all_maximum_cliques(instance: CliqueInstance) -> list[list[int]]:
-    """Brute force every subset; return all cliques of maximum size."""
-    best = 1
-    found: list[list[int]] = []
+    """Brute force every subset with an is-clique table (a subset is a clique
+    iff it is without its lowest member and that member relates to the rest);
+    return all cliques of maximum size."""
+    rows = instance.rows
+    is_clique = bytearray(1 << instance.count)
+    is_clique[0] = 1
+    best = 0
+    found: list[int] = []
     for mask in range(1, 1 << instance.count):
-        members = [i for i in range(instance.count) if mask >> i & 1]
-        if all(
-            instance.related(a, b)
-            for a, b in itertools.combinations(members, 2)
-        ):
-            if len(members) > best:
-                best = len(members)
-                found = [members]
-            elif len(members) == best:
-                found.append(members)
-    return found
+        low = mask & -mask
+        rest = mask ^ low
+        if is_clique[rest] and rows[low.bit_length() - 1] & rest == rest:
+            is_clique[mask] = 1
+            if mask.bit_count() > best:
+                best = mask.bit_count()
+                found = [mask]
+            elif mask.bit_count() == best:
+                found.append(mask)
+    return [[i for i in range(instance.count) if mask >> i & 1] for mask in found]
 
 
 def test_triangle_edgeless_cycle():
@@ -94,8 +99,23 @@ def test_engine_matches_enumeration_oracle():
         assert slow.method == "enumeration"
 
 
-def test_witness_is_valid_and_lex_first():
-    for count, density, seed in [(9, 0.4, 11), (10, 0.6, 12), (11, 0.8, 13), (12, 0.5, 14)]:
+def test_witness_is_valid_and_lex_first(monkeypatch):
+    """The larger instances are ones where the witness pass answers a
+    completion by growing what is left of the carried optimum, which the
+    carried optimum alone would not answer."""
+    grown = []
+    greedy = solver._greedy_clique
+
+    def counted(rows, cand, kept, need):
+        clique = greedy(rows, cand, kept, need)
+        grown.append(clique.bit_count() == need and clique != kept)
+        return clique
+
+    monkeypatch.setattr(solver, "_greedy_clique", counted)
+    small = [(9, 0.4, 11), (10, 0.6, 12), (11, 0.8, 13), (12, 0.5, 14)]
+    large = [(16, 0.7, 17), (17, 0.8, 17), (18, 0.6, 15), (19, 0.8, 16), (20, 0.5, 15)]
+    for count, density, seed in small + large:
+        grown.clear()
         inst = random_instance(count, density, seed)
         res = max_clique(inst)
         assert len(res.witness) == res.size
@@ -104,6 +124,15 @@ def test_witness_is_valid_and_lex_first():
         optima = all_maximum_cliques(inst)
         assert res.size == len(optima[0])
         assert res.witness == min(optima)
+        assert count < 16 or any(grown[1:]), (count, density, seed)  # [0] seeds the size
+
+
+def test_greedy_clique_refuses_a_kept_clique_above_need():
+    # a carried clique larger than the completion it repairs would beat the optimum
+    triangle = CliqueInstance.from_relation(3, lambda i, j: True)
+    assert solver._greedy_clique(triangle.rows, 0b110, 0b010, 2) == 0b110
+    with pytest.raises(AssertionError, match="optimum"):
+        solver._greedy_clique(triangle.rows, 0b110, 0b110, 1)
 
 
 def test_determinism():
@@ -143,7 +172,8 @@ def test_recursion_limit_untouched(monkeypatch):
 
 def test_search_work_is_pinned(monkeypatch):
     """Colorings made and vertices colored over the size search and the
-    witness pass together; a pruning change shows up here as a diff."""
+    witness pass together; a pruning change, or a completion that stops
+    being repaired, shows up here as a diff."""
     colored = []
     color_order = solver._greedy_color_order
 
@@ -154,9 +184,9 @@ def test_search_work_is_pinned(monkeypatch):
     monkeypatch.setattr(solver, "_greedy_color_order", counted)
     cases = [
         (exact_M, 6, 8, 330),
-        (exact_M, 8, 1149, 99360),
+        (exact_M, 8, 16, 2949),
         (exact_MG, complete_multipartite((2, 2, 2)), 2, 64),
-        (exact_MG, all_loops(10), 513, 131840),
+        (exact_MG, all_loops(10), 2, 1024),
     ]
     for extremal, arg, calls, vertices in cases:
         colored.clear()
@@ -235,6 +265,29 @@ def test_exact_M_witness():
     assert [str(w) for w in res2.witness] == ["01", "10", "11"]
     res1 = exact_M(1)
     assert res1.size == 1 and [str(w) for w in res1.witness] == ["0"]
+
+
+# SHA-256 of the space-joined exact_M(n) witness, recorded when every
+# completion of the witness pass was decided by a search
+EXACT_M_WITNESS_SHA256 = {
+    1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    2: "8147349b2360102cc67c7193fa4160e1077024716bca95cb9111388645d4970a",
+    3: "09bf8e27d54f5df6f9f1278e89a6d993d4d9786cae182fe74a79e0523e038e0f",
+    4: "e2b3de20e6fb00df2911c57f7fabfc34432c0c0ebf7ed8c798dccea3bd67c01b",
+    5: "9b999ddea797c5b71c5e7874ed579bd405f15ba53291d39b91749c65ff724a2d",
+    6: "dedb75cbb182e3cbe1c9792d37ecf58c1c1d81b86a0d572ad60d17e474d42789",
+    7: "4895a1acac4e26784aaa9302e0e82eb6090c3b7ad2a7be68f51538f2e6f999f5",
+    8: "47d03a3316c176502e57ce4c35a789fabc1a5674ba11112db3e82e13864494c2",
+    9: "20d1b8c14d62108b96af9f78cb000d0426048452a5c090e1bcd0c78ce3e10e6b",
+    10: "65d4db30602455faf087ab1518ea04292bda6df638ded129178e8417fcbdcde4",
+    11: "9dc89aebb3bba7d2ed4c57fcd10eddcb514adb7e27ccaffe73b5a294c097a5c7",
+}
+
+
+def test_exact_M_witness_digests():
+    for n, digest in EXACT_M_WITNESS_SHA256.items():
+        witness = " ".join(str(w) for w in exact_M(n, override_cap=True).witness)
+        assert hashlib.sha256(witness.encode()).hexdigest() == digest, n
 
 
 def test_exact_M_cap_and_override():

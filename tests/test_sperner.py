@@ -1,5 +1,6 @@
 """Antichain maxima: chain-cover route, independent oracle, bound checks."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -97,6 +98,20 @@ def test_chain_cover_partitions_poset():
         for chain in chains:
             for a, b in zip(chain, chain[1:]):
                 assert leq(a, b) and (a.bits ^ b.bits).bit_count() == 1
+
+
+def test_cover_matching_is_pinned():
+    """SHA-256 of the comma-joined match of each left copy, recorded with the
+    recursive augmenting-path search; an iterative search must walk the
+    same paths in the same order."""
+    pinned = {
+        19: "623ef5867c0845bce9dda91362330349270e608446f003bcd29e64154b5dad3d",
+        20: "44ca67a50fda7fe0c3f915e78c04f78cc992b84ce4e9ea30b9d776cbc7259b80",
+    }
+    for n, digest in pinned.items():
+        bits = [e.bits for e in build_fibonacci_poset(n).elements]
+        match_left, _ = sperner._cover_matching(bits)
+        assert hashlib.sha256(",".join(map(str, match_left)).encode()).hexdigest() == digest, n
 
 
 def test_certificate_check_fires(monkeypatch):

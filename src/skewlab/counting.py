@@ -1,15 +1,18 @@
 """Exact counting for the gamma statistic and its tail, plus a seeded sampler.
 
 The central tool is a left-to-right dynamic program over string positions.
-Its state is the last two chosen bits together with the total gamma
-contribution of all positions whose windows are already complete, so it
-never materializes strings and runs comfortably up to n = 512 with exact
-big-integer counts.
+Its state is the last two chosen bits; each of the four states holds the
+counts of all prefixes by the total gamma contribution of their finished
+positions, packed into one big integer (Kronecker substitution: the count
+for total v sits in slot v, _SLOT_BITS wide). A step of the program is one
+shift-and-add per state, a tail count is one shift and one residue, and no
+string is ever materialized, so it runs comfortably up to n = 512.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +20,12 @@ from typing import Iterator
 
 MAX_DP_LENGTH = 512
 MAX_SAMPLING_LENGTH = 64
+
+# One slot per gamma total: a count is at most 2^MAX_DP_LENGTH, and a slot is
+# a whole number of bytes, so counts decode by slicing ``to_bytes``.
+_SLOT_BYTES = MAX_DP_LENGTH // 8 + 1
+_SLOT_BITS = 8 * _SLOT_BYTES
+_SLOT_SUM = (1 << _SLOT_BITS) - 1  # each slot's weight is 1 modulo this: a residue adds them
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 constants: fixed odd increment and the two finalizer multipliers.
@@ -36,17 +45,29 @@ def _check_dp_length(n: int) -> None:
 
 @dataclass(frozen=True)
 class GammaDistribution:
-    """Exact counts of length-n strings by their gamma value."""
+    """Exact counts of length-n strings by their gamma value, packed: the
+    count for gamma = v is slot v of ``packed``, _SLOT_BITS wide."""
 
     n: int
-    counts: dict[int, int]
+    packed: int
+
+    @property
+    def counts(self) -> dict[int, int]:
+        """Nonzero counts keyed by gamma value."""
+        raw = self.packed.to_bytes(_SLOT_BYTES * (2 * self.n + 1), "little")
+        slots = (int.from_bytes(raw[i:i + _SLOT_BYTES], "little")
+                 for i in range(0, len(raw), _SLOT_BYTES))
+        return {v: c for v, c in enumerate(slots) if c}
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return self.packed % _SLOT_SUM
 
     def count_above(self, threshold: int) -> int:
-        """Number of strings with gamma strictly greater than ``threshold``."""
-        return sum(c for v, c in self.counts.items() if v > threshold)
+        """Number of strings with gamma strictly greater than ``threshold``.
+
+        Exact because every sum of counts is at most 2^n, below _SLOT_SUM.
+        """
+        return (self.packed >> _SLOT_BITS * max(threshold + 1, 0)) % _SLOT_SUM
 
     def weighted_sum(self) -> int:
         """Sum of gamma over all 2^n strings (an exact integer)."""
@@ -62,37 +83,18 @@ class GammaDistribution:
 def _distribution_sweep(max_n: int) -> Iterator[GammaDistribution]:
     """Yield the exact gamma distribution for every n = 1..max_n in one pass.
 
-    DP state after choosing positions 1..i: (bit i-1, bit i) -> list indexed
-    by the gamma total of the finalized positions 1..i-1. Choosing bit c at
-    position i+1 finalizes position i's contribution, which is
-    x_i + [x_{i-1} = 1 or c = 1]; emitting a distribution for length i
-    finalizes the last position as x_i + [x_{i-1} = 1] instead.
+    State sAB after choosing positions 1..i (A = bit i-1, B = bit i) packs the
+    counts by the gamma total of the finished positions 1..i-1, so a one-slot
+    shift adds 1 to every total. Choosing bit c at position i+1 finishes
+    position i with B + [A = 1 or c = 1]; for c = 0 that is B + A, as at the
+    end of a length-i string, so length i's distribution is s00 + s10 then.
     """
-    # position 0 is an implicit 0
-    state: dict[tuple[int, int], list[int]] = {(0, 0): [1], (0, 1): [1]}
+    w = _SLOT_BITS
+    s00, s01, s10, s11 = 1, 1, 0, 0  # positions 0 (an implicit 0) and 1
     for n in range(1, max_n + 1):
-        counts: dict[int, int] = {}
-        for (a, b), accs in state.items():
-            off = b + a
-            for acc, c in enumerate(accs):
-                if c:
-                    counts[acc + off] = counts.get(acc + off, 0) + c
-        yield GammaDistribution(n, counts)
-        if n == max_n:
-            return
-        new: dict[tuple[int, int], list[int]] = {}
-        for (a, b), accs in state.items():
-            for c in (0, 1):
-                off = b + (a | c)
-                tgt = new.get((b, c))
-                if tgt is None:
-                    tgt = new[(b, c)] = [0] * (len(accs) + 2)
-                elif len(tgt) < len(accs) + 2:
-                    tgt.extend([0] * (len(accs) + 2 - len(tgt)))
-                for acc, cnt in enumerate(accs):
-                    if cnt:
-                        tgt[acc + off] += cnt
-        state = new
+        s00, s01, s10, s11 = (s00 + (s10 << w), (s00 + s10) << w,
+                              (s01 << w) + (s11 << 2 * w), (s01 + s11) << 2 * w)
+        yield GammaDistribution(n, s00 + s10)
 
 
 def gamma_distributions_upto(max_n: int) -> list[GammaDistribution]:
@@ -104,10 +106,7 @@ def gamma_distributions_upto(max_n: int) -> list[GammaDistribution]:
 def gamma_distribution(n: int) -> GammaDistribution:
     """Exact distribution of gamma over all 2^n strings of length n."""
     _check_dp_length(n)
-    for dist in _distribution_sweep(n):
-        if dist.n == n:
-            return dist
-    raise AssertionError("unreachable")
+    return deque(_distribution_sweep(n), maxlen=1).pop()
 
 
 def count_C(n: int) -> int:

@@ -43,6 +43,26 @@ def test_distribution_matches_enumeration():
         assert dist.counts == gamma_histogram_brute(dist.n), dist.n
 
 
+def test_count_above_matches_enumeration():
+    for dist in gamma_distributions_upto(12):
+        n, hist = dist.n, gamma_histogram_brute(dist.n)
+        for t in range(-2, 2 * n + 2):
+            assert dist.count_above(t) == sum(c for v, c in hist.items() if v > t), (n, t)
+
+
+def test_packed_sums_exact_at_the_cap():
+    # n = 512 fills a slot to 2^512, the most the residue can add exactly
+    dist = gamma_distribution(512)
+    assert dist.total() == dist.count_above(-1) == 2 ** 512
+    assert dist.count_above(2 * 512) == 0
+
+
+def test_single_distribution_equals_sweep_entry():
+    assert gamma_distribution(7) == gamma_distributions_upto(20)[6]
+    assert gamma_distribution(300) == gamma_distributions_upto(301)[299]
+    assert gamma_distribution(7) != gamma_distribution(8)
+
+
 def test_distribution_bounds_and_mass():
     for dist in gamma_distributions_upto(512):
         n = dist.n

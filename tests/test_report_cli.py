@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewlab.cli import RunConfig, main, run
+from skewlab.cli import main
 from skewlab.report import (
     BOOL,
     Table,
@@ -257,7 +257,16 @@ def test_cli_rejects_reversed_range(capsys):
         assert "bad range" in captured.err
 
 
-def test_run_config_direct():
-    assert run(RunConfig(command="crossover", max_n=50, fmt="csv", out="/dev/null")) == 0
-    with pytest.raises(ValueError):
-        run(RunConfig(command="bogus"))
+def test_cli_out_dev_null(capsys):
+    assert main(["crossover", "--max-n", "50", "--format", "csv", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_fixed_graph_specs_reject_arguments(capsys):
+    for argv in (["graph-m", "--graph", "k2:5"],
+                 ["graph-m", "--graph", "skew-alphabet:3"],
+                 ["attractive", "--n", "2", "--alphabet-graph", "k2:3"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "takes no argument" in captured.err

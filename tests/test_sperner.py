@@ -19,29 +19,28 @@ from tables import ANTICHAIN_MAX
 
 
 def test_poset_basics():
-    poset = build_fibonacci_poset(2)
-    assert [str(e) for e in poset.elements] == ["00", "01", "10"]
-    assert poset.leq(0, 1) and poset.leq(0, 2)
-    assert not poset.comparable(1, 2)
+    elements = build_fibonacci_poset(2).elements
+    assert [str(e) for e in elements] == ["00", "01", "10"]
+    assert leq(elements[0], elements[1]) and leq(elements[0], elements[2])
+    assert not comparable(elements[1], elements[2])
     for n in range(1, 9):
         poset = build_fibonacci_poset(n)
         assert len(poset) == fibonacci_count(n)
         # the all-zero string is the unique minimum
-        assert all(poset.leq(0, i) for i in range(len(poset)))
-        assert not any(poset.leq(i, 0) for i in range(1, len(poset)))
+        bottom, *rest = poset.elements
+        assert all(leq(bottom, e) for e in poset.elements)
+        assert not any(leq(e, bottom) for e in rest)
 
 
 def test_poset_order_properties():
-    poset = build_fibonacci_poset(5)
-    idx = range(len(poset))
-    for i in idx:
-        assert poset.leq(i, i)
-    for i, j in itertools.combinations(idx, 2):
-        if poset.leq(i, j) and poset.leq(j, i):
-            assert i == j
-    for i, j, k in itertools.permutations(range(0, len(poset), 3), 3):
-        if poset.leq(i, j) and poset.leq(j, k):
-            assert poset.leq(i, k)
+    elements = build_fibonacci_poset(5).elements
+    for x in elements:
+        assert leq(x, x)
+    for x, y in itertools.combinations(elements, 2):
+        assert not (leq(x, y) and leq(y, x))
+    for x, y, z in itertools.permutations(elements[::3], 3):
+        if leq(x, y) and leq(y, z):
+            assert leq(x, z)
 
 
 def test_poset_validation():
@@ -121,6 +120,16 @@ def test_certificate_check_fires(monkeypatch):
     )
     with pytest.raises(AssertionError):
         max_antichain(5)
+
+
+def test_antichain_check_rejects_mixed_weights_and_duplicates():
+    sperner._verify_antichain([0b00101, 0b01001, 0b10010])  # one level: accepted
+    with pytest.raises(AssertionError):
+        sperner._verify_antichain([0b00101, 0b00001])  # 00001 < 00101
+    with pytest.raises(AssertionError):
+        sperner._verify_antichain([0b01010, 0b00001])  # incomparable, but two weights
+    with pytest.raises(AssertionError):
+        sperner._verify_antichain([0b00101, 0b01001, 0b00101])
 
 
 def test_oracle_agrees_with_matching():

@@ -57,7 +57,6 @@ from .solver import (
 from .report import SandwichReport, sandwich_check
 from .sperner import (
     AntichainResult,
-    build_fibonacci_poset,
     max_antichain,
     max_antichain_oracle,
     minimum_chain_cover,

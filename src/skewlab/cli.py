@@ -29,6 +29,13 @@ def _emit_table(args: argparse.Namespace, table: Table) -> None:
     _emit(args, render(table, args.fmt))
 
 
+def _spec_int(spec: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"graph spec {spec!r}: {token!r} is not an integer") from None
+
+
 def _build_graph(spec: str, default_n: int | None = None) -> graphs.Graph:
     """Generator specs: path:N, multipartite:a,b,..., all-loops:N, edgeless:N,
     skew-alphabet, k2, file:PATH. Where N is omitted, default_n applies."""
@@ -43,10 +50,9 @@ def _build_graph(spec: str, default_n: int | None = None) -> graphs.Graph:
     if name == "k2":
         return graphs.complete_multipartite((1, 1))
     if name == "multipartite":
-        parts = tuple(int(tok) for tok in arg.split(","))
-        return graphs.complete_multipartite(parts)
+        return graphs.complete_multipartite(tuple(_spec_int(spec, t) for t in arg.split(",")))
     if name in ("path", "all-loops", "edgeless"):
-        n = int(arg) if arg else default_n
+        n = _spec_int(spec, arg) if arg else default_n
         if n is None:
             raise ValueError(f"graph spec {spec!r} needs a size, e.g. {name}:4")
         if name == "path":

@@ -173,13 +173,15 @@ def floor_kth_root(x: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def floor_pow2(numerator: int, denominator: int) -> int:
-    """floor(2**(numerator/denominator)), exactly, via an integer k-th root."""
+    """floor(2**(numerator/denominator)), exactly, via an integer k-th root
+    of the reduced fraction (69n/100 at n = 50 is a 2nd root, not a 100th)."""
     if denominator < 1 or numerator < 0:
         raise ValueError("exponent must be a nonnegative rational")
     q, r = divmod(numerator, denominator)
     if r == 0:
         return 1 << q
-    return floor_kth_root(1 << numerator, denominator)
+    g = math.gcd(numerator, denominator)
+    return floor_kth_root(1 << (numerator // g), denominator // g)
 
 
 def ceil_pow2(numerator: int, denominator: int) -> int:

@@ -26,9 +26,9 @@ from .bitstring import BitString
 from .graphs import Graph, Partition, as_partition, path
 
 MAX_ELEMENTS = 4096
+# every vertex subset is an element, so the vertex count is log2 of the cap
+MAX_SUBSET_VERTICES = MAX_ELEMENTS.bit_length() - 1
 EXACT_M_DEFAULT_CAP = 8
-EXACT_M_HARD_CAP = 12
-MAX_MG_VERTICES = 12
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -285,9 +285,11 @@ def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
     Capped at n = 8 (256 elements) unless ``override_cap`` is set; the hard
     limit of n = 12 keeps the relation within the clique engine's element cap.
     """
-    cap = EXACT_M_HARD_CAP if override_cap else EXACT_M_DEFAULT_CAP
+    cap = MAX_SUBSET_VERTICES if override_cap else EXACT_M_DEFAULT_CAP
     if not 1 <= n <= cap:
-        hint = "" if override_cap else " (pass override_cap=True for n up to 12)"
+        hint = "" if override_cap else (
+            f" (pass override_cap=True or --override-cap for n up to {MAX_SUBSET_VERTICES})"
+        )
         raise ValueError(f"n must be in [1, {cap}], got {n}{hint}")
     result = _subset_family(path(n))
     result.witness = [BitString(n, bits) for bits in result.witness]
@@ -301,9 +303,9 @@ def exact_MG(g: Graph) -> ExtremalResult:
     Elements are all subsets, indexed by bitmask with vertex 0 least
     significant; the witness lists subsets as sorted vertex tuples.
     """
-    if g.vertex_count > MAX_MG_VERTICES:
+    if g.vertex_count > MAX_SUBSET_VERTICES:
         raise ValueError(
-            f"vertex count must be <= {MAX_MG_VERTICES}, got {g.vertex_count}"
+            f"vertex count must be <= {MAX_SUBSET_VERTICES}, got {g.vertex_count}"
         )
     result = _subset_family(g)
     result.witness = [tuple(_bits(mask)) for mask in result.witness]

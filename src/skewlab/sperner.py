@@ -9,6 +9,9 @@ that count; the largest rank level (strings of one weight) is an antichain,
 and when its size equals the chain count, both are optimal. That equality is
 the certificate, checked on every call. An independent oracle solves the
 same question as a maximum clique of the incomparability relation.
+
+Strings stay the integer masks of ``fibonacci_masks`` throughout; only the
+returned witnesses and chains become ``BitString``s.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .bitstring import BitString, weight
+from .bitstring import BitString
 from .constructions import fibonacci_masks
 from .counting import fibonacci_count
 from .solver import CliqueInstance, max_clique
@@ -25,22 +28,10 @@ MAX_POSET_LENGTH = 20
 ORACLE_MAX_LENGTH = 10
 
 
-@dataclass(frozen=True)
-class FibonacciPoset:
-    """The no-adjacent-ones strings of one length under coordinatewise
-    dominance; elements are kept in lexicographic order."""
-
-    n: int
-    elements: tuple[BitString, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def build_fibonacci_poset(n: int) -> FibonacciPoset:
-    if not 1 <= n <= MAX_POSET_LENGTH:
-        raise ValueError(f"n must be in [1, {MAX_POSET_LENGTH}], got {n}")
-    return FibonacciPoset(n, tuple(BitString(n, x) for x in fibonacci_masks(n)))
+def _checked_masks(n: int, cap: int) -> list[int]:
+    if not 1 <= n <= cap:
+        raise ValueError(f"n must be in [1, {cap}], got {n}")
+    return fibonacci_masks(n)
 
 
 def _cover_matching(bits: list[int]) -> tuple[list[int], list[int]]:
@@ -72,24 +63,23 @@ def _cover_matching(bits: list[int]) -> tuple[list[int], list[int]]:
         ``root``, searched depth-first in adjacency order; a left vertex on
         no such path is marked unreachable for the rest of the phase."""
         stack = [(root, iter(adj[root]))]
-        taken: list[int] = []  # taken[k] joins stack[k] to stack[k + 1], its match
         while stack:
             u, edges = stack[-1]
             for v in edges:
                 w = match_right[v]
                 if w == -1 and dist[u] + 1 == shortest:
-                    for (a, _), b in zip(stack, taken + [v]):
-                        match_left[a] = b
-                        match_right[b] = a
+                    # back from the free end: each left vertex takes the right vertex
+                    # handed up to it and passes its old partner (-1 at the root) up
+                    for a, _ in reversed(stack):
+                        match_right[v] = a
+                        match_left[a], v = v, match_left[a]
                     return
                 if w != -1 and dist[w] == dist[u] + 1:
-                    taken.append(v)
                     stack.append((w, iter(adj[w])))
                     break
             else:
                 dist[u] = infinity
                 stack.pop()
-                del taken[-1:]
 
     while True:
         queue: deque[int] = deque()
@@ -147,34 +137,34 @@ def max_antichain(n: int) -> AntichainResult:
     certifies both as optimal; anything else raises. The witness is also
     re-checked to be distinct strings of one weight before it is returned.
     """
-    elements = build_fibonacci_poset(n).elements
-    _, match_right = _cover_matching([e.bits for e in elements])
+    bits = _checked_masks(n, MAX_POSET_LENGTH)
+    _, match_right = _cover_matching(bits)
     size = match_right.count(-1)  # one chain per string no larger one is matched to
-    levels: list[list[BitString]] = [[] for _ in range(n + 1)]
-    for e in elements:
-        levels[weight(e)].append(e)
-    witness = max(levels, key=len)
-    if len(witness) != size:
+    levels: list[list[int]] = [[] for _ in range(n + 1)]
+    for b in bits:
+        levels[b.bit_count()].append(b)
+    level = max(levels, key=len)
+    if len(level) != size:
         raise AssertionError(
-            f"{size} chains but the largest rank level has {len(witness)} elements"
+            f"{size} chains but the largest rank level has {len(level)} elements"
         )
-    _verify_antichain([w.bits for w in witness])
-    return AntichainResult(n, size, tuple(witness))
+    _verify_antichain(level)
+    return AntichainResult(n, size, tuple(BitString(n, b) for b in level))
 
 
 def minimum_chain_cover(n: int) -> list[list[BitString]]:
     """Partition of the length-n poset into the fewest chains, each listed in
     ascending dominance order; their number equals the maximum antichain."""
-    elements = build_fibonacci_poset(n).elements
-    match_left, match_right = _cover_matching([e.bits for e in elements])
+    bits = _checked_masks(n, MAX_POSET_LENGTH)
+    match_left, match_right = _cover_matching(bits)
     chains = []
-    for start in range(len(elements)):
+    for start in range(len(bits)):
         if match_right[start] != -1:
             continue  # not a chain top: something dominates it within its chain
         chain = []
         u = start
         while u != -1:
-            chain.append(elements[u])
+            chain.append(BitString(n, bits[u]))
             u = match_left[u]
         chain.reverse()
         chains.append(chain)
@@ -184,9 +174,7 @@ def minimum_chain_cover(n: int) -> list[list[BitString]]:
 
 def max_antichain_oracle(n: int) -> int:
     """Independent route: maximum clique of the incomparability relation."""
-    if not 1 <= n <= ORACLE_MAX_LENGTH:
-        raise ValueError(f"n must be in [1, {ORACLE_MAX_LENGTH}], got {n}")
-    bits = [e.bits for e in build_fibonacci_poset(n).elements]
+    bits = _checked_masks(n, ORACLE_MAX_LENGTH)
 
     def incomparable(i: int, j: int) -> bool:
         a, b = bits[i], bits[j]

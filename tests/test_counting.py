@@ -177,6 +177,15 @@ def test_floor_and_ceil_pow2():
         assert c - f in (0, 1)
 
 
+def test_floor_pow2_on_reducible_fractions():
+    # the root is taken of the reduced fraction; the bracket is checked on
+    # the fraction as given
+    for n in list(range(5, 201, 5)) + [2, 4, 8, 64, 500, 512]:
+        for num, den in ((24 * n, 25), (69 * n, 100), (694 * n, 1000)):
+            r = floor_pow2(num, den)
+            assert r ** den <= 2 ** num < (r + 1) ** den, (num, den)
+
+
 def test_crossover_scan_value():
     assert crossover_scan(200) == CROSSOVER_N
     assert crossover_scan(2) == 2

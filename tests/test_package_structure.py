@@ -1,0 +1,95 @@
+"""Structural properties of the ``skewlab`` sources, read from their syntax
+trees: stdlib-only imports, an acyclic import graph between the package's
+modules, and no function that calls itself."""
+
+import ast
+import sys
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skewlab"
+
+
+def parsed_modules() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def internal_imports(tree: ast.Module, modules: set[str]) -> set[str]:
+    """Package modules that ``tree`` imports: ``from .a import x`` names a,
+    ``from . import a, b`` names a and b."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                found.add(node.module.partition(".")[0])
+            else:
+                found.update(alias.name for alias in node.names if alias.name in modules)
+    return found
+
+
+def test_every_import_is_stdlib():
+    foreign = []
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.partition(".")[0]]
+            else:
+                continue
+            foreign += [(name, top) for top in tops
+                        if top not in sys.stdlib_module_names and top != "skewlab"]
+    assert foreign == []
+
+
+def test_internal_import_graph_is_acyclic():
+    trees = parsed_modules()
+    graph = {name: internal_imports(tree, set(trees)) for name, tree in trees.items()}
+    assert graph["cli"] >= {"counting", "report", "solver", "sperner"}  # `from . import`
+    assert all(deps <= set(trees) for deps in graph.values()), graph
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {exc.args[1]}") from None
+
+
+def self_calls(tree: ast.Module) -> list[str]:
+    """Functions whose bodies call themselves: by bare name for module-level
+    and nested functions, through ``self.``/``cls.`` for methods (where a
+    bare name is the module-level function of that name)."""
+    found = []
+
+    def visit(node: ast.AST, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(child):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    f = call.func
+                    if in_class:
+                        hit = (isinstance(f, ast.Attribute) and f.attr == child.name
+                               and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"))
+                    else:
+                        hit = isinstance(f, ast.Name) and f.id == child.name
+                    if hit:
+                        found.append(child.name)
+                visit(child, in_class=False)
+            else:
+                visit(child, in_class or isinstance(child, ast.ClassDef))
+
+    visit(tree, in_class=False)
+    return found
+
+
+def test_no_function_calls_itself():
+    assert self_calls(ast.parse("def f(n):\n    return f(n - 1)\n")) == ["f"]
+    assert self_calls(ast.parse(
+        "class A:\n    def size(self):\n        return self.size()\n")) == ["size"]
+    assert self_calls(ast.parse(
+        "class A:\n    def size(self):\n        return size(self)\n")) == []
+    recursive = {name: calls for name, tree in parsed_modules().items()
+                 if (calls := self_calls(tree))}
+    assert recursive == {}

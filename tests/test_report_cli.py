@@ -270,3 +270,14 @@ def test_cli_fixed_graph_specs_reject_arguments(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "takes no argument" in captured.err
+
+
+def test_cli_error_messages_name_the_fix(capsys):
+    assert main(["exact-m", "--n", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--override-cap" in captured.err
+    for spec in ("multipartite:", "multipartite:2,x", "path:x"):
+        assert main(["graph-m", "--graph", spec]) == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"graph spec {spec!r}" in captured.err and "invalid literal" not in captured.err

@@ -7,9 +7,9 @@ import pytest
 
 from skewlab import sperner
 from skewlab.bitstring import comparable, is_fibonacci, leq, weight
+from skewlab.constructions import enumerate_fibonacci, fibonacci_masks
 from skewlab.counting import fibonacci_count
 from skewlab.sperner import (
-    build_fibonacci_poset,
     max_antichain,
     max_antichain_oracle,
     minimum_chain_cover,
@@ -19,21 +19,23 @@ from tables import ANTICHAIN_MAX
 
 
 def test_poset_basics():
-    elements = build_fibonacci_poset(2).elements
+    elements = enumerate_fibonacci(2).sorted_members()
     assert [str(e) for e in elements] == ["00", "01", "10"]
     assert leq(elements[0], elements[1]) and leq(elements[0], elements[2])
     assert not comparable(elements[1], elements[2])
     for n in range(1, 9):
-        poset = build_fibonacci_poset(n)
-        assert len(poset) == fibonacci_count(n)
+        elements = enumerate_fibonacci(n).sorted_members()
+        assert len(elements) == fibonacci_count(n)
+        # the matching runs over the masks in this same order
+        assert [e.bits for e in elements] == fibonacci_masks(n)
         # the all-zero string is the unique minimum
-        bottom, *rest = poset.elements
-        assert all(leq(bottom, e) for e in poset.elements)
+        bottom, *rest = elements
+        assert all(leq(bottom, e) for e in elements)
         assert not any(leq(e, bottom) for e in rest)
 
 
 def test_poset_order_properties():
-    elements = build_fibonacci_poset(5).elements
+    elements = enumerate_fibonacci(5).sorted_members()
     for x in elements:
         assert leq(x, x)
     for x, y in itertools.combinations(elements, 2):
@@ -44,10 +46,10 @@ def test_poset_order_properties():
 
 
 def test_poset_validation():
-    with pytest.raises(ValueError):
-        build_fibonacci_poset(21)
-    with pytest.raises(ValueError):
-        build_fibonacci_poset(0)
+    for fn in (max_antichain, minimum_chain_cover):
+        for n in (0, 21):
+            with pytest.raises(ValueError, match=rf"n must be in \[1, 20\], got {n}$"):
+                fn(n)
 
 
 def test_antichain_sizes_frozen():
@@ -82,7 +84,7 @@ def test_small_antichain_witnesses():
     # levels tie at n = 1 (weights 0 and 1) and n = 19 (weights 5 and 6,
     # 3,003 each): the lower weight wins
     assert [str(w) for w in max_antichain(1).witness] == ["0"]
-    level5 = [e for e in build_fibonacci_poset(19).elements if weight(e) == 5]
+    level5 = [e for e in enumerate_fibonacci(19).sorted_members() if weight(e) == 5]
     assert len(level5) == 3003
     assert list(max_antichain(19).witness) == level5
 
@@ -108,8 +110,7 @@ def test_cover_matching_is_pinned():
         20: "44ca67a50fda7fe0c3f915e78c04f78cc992b84ce4e9ea30b9d776cbc7259b80",
     }
     for n, digest in pinned.items():
-        bits = [e.bits for e in build_fibonacci_poset(n).elements]
-        match_left, _ = sperner._cover_matching(bits)
+        match_left, _ = sperner._cover_matching(fibonacci_masks(n))
         assert hashlib.sha256(",".join(map(str, match_left)).encode()).hexdigest() == digest, n
 
 
@@ -138,7 +139,7 @@ def test_oracle_agrees_with_matching():
 
 
 def test_oracle_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n must be in \[1, 10\], got 11$"):
         max_antichain_oracle(11)
 
 

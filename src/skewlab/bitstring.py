@@ -7,13 +7,15 @@ equal length compares exactly like their literals compare lexicographically.
 
 The raw-integer kernels (``influence_bits`` and friends) are shared by the
 counting and search modules, which iterate over millions of strings and
-cannot afford object wrappers.
+cannot afford object wrappers. For the same reason a ``Family`` is its
+members' masks in one ascending tuple; a member becomes a ``BitString``
+only when it is handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 MAX_LENGTH = 64
 
@@ -151,42 +153,41 @@ def all_strings(n: int) -> Iterator[BitString]:
 
 @dataclass(frozen=True)
 class Family:
-    """A set of distinct binary strings of one common length."""
+    """A set of distinct binary strings of one common length, held as the
+    ascending tuple of their masks."""
 
     length: int
-    members: frozenset[BitString]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not 1 <= self.length <= MAX_LENGTH:
             raise ValueError(f"length must be in [1, {MAX_LENGTH}], got {self.length}")
-        for m in self.members:
-            if m.length != self.length:
-                raise ValueError(
-                    f"member {m} has length {m.length}, family has {self.length}"
-                )
-
-    @classmethod
-    def of(cls, length: int, members: Iterable[BitString]) -> Family:
-        return cls(length, frozenset(members))
+        bounds = (-1,) + self.masks + (1 << self.length,)
+        if not all(a < b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(f"masks must be strictly ascending in [0, 2^{self.length})")
 
     @classmethod
     def from_literals(cls, literals: list[str], length: int | None = None) -> Family:
-        members = frozenset(BitString.from_string(s) for s in literals)
+        members = [BitString.from_string(s) for s in literals]
         if length is None:
             if not members:
                 raise ValueError("cannot infer length of an empty family")
-            length = next(iter(members)).length
-        return cls(length, members)
+            length = members[0].length
+        for m in members:
+            if m.length != length:
+                raise ValueError(f"member {m} has length {m.length}, family has {length}")
+        return cls(length, tuple(sorted({m.bits for m in members})))
 
     def sorted_members(self) -> list[BitString]:
         """Members in lexicographic order."""
-        return sorted(self.members, key=lambda b: b.bits)
+        return [BitString(self.length, m) for m in self.masks]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     def __contains__(self, item: object) -> bool:
-        return item in self.members
+        return (isinstance(item, BitString) and item.length == self.length
+                and item.bits in self.masks)
 
     def __iter__(self) -> Iterator[BitString]:
         return iter(self.sorted_members())

@@ -36,6 +36,11 @@ def _spec_int(spec: str, token: str) -> int:
         raise ValueError(f"graph spec {spec!r}: {token!r} is not an integer") from None
 
 
+def _multipartite_parts(spec: str) -> tuple[int, ...]:
+    """The part sizes a,b,... of a ``multipartite:a,b,...`` spec."""
+    return tuple(_spec_int(spec, t) for t in spec.partition(":")[2].split(","))
+
+
 def _build_graph(spec: str, default_n: int | None = None) -> graphs.Graph:
     """Generator specs: path:N, multipartite:a,b,..., all-loops:N, edgeless:N,
     skew-alphabet, k2, file:PATH. Where N is omitted, default_n applies."""
@@ -50,7 +55,7 @@ def _build_graph(spec: str, default_n: int | None = None) -> graphs.Graph:
     if name == "k2":
         return graphs.complete_multipartite((1, 1))
     if name == "multipartite":
-        return graphs.complete_multipartite(tuple(_spec_int(spec, t) for t in arg.split(",")))
+        return graphs.complete_multipartite(_multipartite_parts(spec))
     if name in ("path", "all-loops", "edgeless"):
         n = _spec_int(spec, arg) if arg else default_n
         if n is None:
@@ -84,8 +89,7 @@ def _emit_result(args: argparse.Namespace, extra: dict[str, object],
 
 def _cmd_gamma_dist(args: argparse.Namespace) -> int:
     dist = counting.gamma_distribution(args.n)
-    rows = tuple((v, c) for v, c in dist.sorted_items())
-    _emit_table(args, Table(("gamma", "count"), rows))
+    _emit_table(args, Table(("gamma", "count"), tuple(dist.counts.items())))
     return 0
 
 
@@ -154,10 +158,8 @@ def _cmd_graph_m(args: argparse.Namespace) -> int:
         "graph": args.graph_spec,
         "vertices": g.vertex_count,
     }
-    name = args.graph_spec.partition(":")[0]
-    if name == "multipartite":
-        parts = tuple(int(tok) for tok in args.graph_spec.partition(":")[2].split(","))
-        extra["closed_form"] = solver.multipartite_M(parts)
+    if args.graph_spec.partition(":")[0] == "multipartite":
+        extra["closed_form"] = solver.multipartite_M(_multipartite_parts(args.graph_spec))
     return _emit_result(args, extra, result)
 
 
@@ -182,7 +184,8 @@ def _cmd_sperner(args: argparse.Namespace) -> int:
     lo, hi = args.n_range if args.n_range else (args.n, args.n)
     rows = []
     for n in range(lo, hi + 1):
-        rows.append((n, counting.fibonacci_count(n), sperner.max_antichain(n).size))
+        size = sperner.max_antichain(n).size  # first, so that n is checked against its cap
+        rows.append((n, counting.fibonacci_count(n), size))
     _emit_table(args, Table(("n", "fibonacci", "antichain_max"), tuple(rows)))
     return 0
 
@@ -336,10 +339,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "report":
-        if args.table_style == "summary" and args.n_range is None:
-            parser.error("report --table summary requires --n-range")
-        if args.table_style == "theorem" and args.max_n is None:
-            parser.error("report --table theorem requires --max-n")
+        needed, unused = (("--n-range", args.n_range), ("--max-n", args.max_n))
+        if args.table_style == "theorem":
+            needed, unused = unused, needed
+        if needed[1] is None:
+            parser.error(f"report --table {args.table_style} requires {needed[0]}")
+        if unused[1] is not None:
+            parser.error(f"report --table {args.table_style} does not take {unused[0]}")
     if args.command == "sperner" and args.witness and args.n is None:
         parser.error("sperner --witness requires --n")
 

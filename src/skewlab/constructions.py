@@ -39,10 +39,7 @@ def enumerate_C(n: int) -> Family:
     support of one to meet the influence of the other.
     """
     _check_enumeration_length(n)
-    members = frozenset(
-        BitString(n, x) for x in range(1 << n) if gamma_bits(x, n) > n
-    )
-    return Family(n, members)
+    return Family(n, tuple(x for x in range(1 << n) if gamma_bits(x, n) > n))
 
 
 def fibonacci_masks(n: int) -> list[int]:
@@ -62,7 +59,7 @@ def fibonacci_masks(n: int) -> list[int]:
 def enumerate_fibonacci(n: int) -> Family:
     """All length-n strings with no two adjacent 1s."""
     _check_enumeration_length(n)
-    return Family(n, frozenset(BitString(n, x) for x in fibonacci_masks(n)))
+    return Family(n, tuple(fibonacci_masks(n)))
 
 
 def verify_pairwise_skewincident(
@@ -74,15 +71,12 @@ def verify_pairwise_skewincident(
     Self-pairs are not required to be skewincident; empty and singleton
     families pass vacuously.
     """
-    members = family.sorted_members()
-    n = family.length
-    bits = [m.bits for m in members]
-    infl = [influence_bits(b, n) for b in bits]
-    for i in range(len(bits)):
-        fi = infl[i]
-        for j in range(i + 1, len(bits)):
-            if bits[j] & fi == 0:
-                return members[i], members[j]
+    n, masks = family.length, family.masks
+    for i, x in enumerate(masks):
+        fi = influence_bits(x, n)
+        for y in masks[i + 1:]:
+            if y & fi == 0:
+                return BitString(n, x), BitString(n, y)
     return None
 
 
@@ -128,20 +122,21 @@ def greedy_maximal_extension(family: Family) -> Family:
         raise NotPairwiseSkewincidentError(violation)
     n = family.length
     _check_enumeration_length(n)
-    members = set(m.bits for m in family.members)
-    infl = [influence_bits(b, n) for b in sorted(members)]
+    members = set(family.masks)
+    infl = [influence_bits(b, n) for b in family.masks]
     for cand in range(1 << n):
         if cand in members:
             continue
         if all(cand & f for f in infl):
             members.add(cand)
             infl.append(influence_bits(cand, n))
-    return Family(n, frozenset(BitString(n, b) for b in members))
+    return Family(n, tuple(sorted(members)))
 
 
 def family_to_lines(family: Family) -> str:
     """Newline-delimited literals in lexicographic order, trailing newline."""
-    return "".join(str(m) + "\n" for m in family.sorted_members())
+    n = family.length
+    return "".join(f"{m:0{n}b}\n" for m in family.masks)
 
 
 def family_from_lines(text: str, length: int | None = None) -> Family:
@@ -154,7 +149,8 @@ def family_from_lines(text: str, length: int | None = None) -> Family:
 
 def family_to_json(family: Family) -> str:
     """JSON array of literals in lexicographic order."""
-    return json.dumps([str(m) for m in family.sorted_members()])
+    n = family.length
+    return json.dumps([f"{m:0{n}b}" for m in family.masks])
 
 
 def family_from_json(text: str, length: int | None = None) -> Family:

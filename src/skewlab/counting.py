@@ -76,9 +76,6 @@ class GammaDistribution:
     def expectation(self) -> Fraction:
         return Fraction(self.weighted_sum(), 1 << self.n)
 
-    def sorted_items(self) -> list[tuple[int, int]]:
-        return sorted(self.counts.items())
-
 
 def _distribution_sweep(max_n: int) -> Iterator[GammaDistribution]:
     """Yield the exact gamma distribution for every n = 1..max_n in one pass.

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .counting import (
@@ -45,20 +44,12 @@ def _cell_text(value: object) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
 def _cell_json(value: object) -> object:
     if value is None or isinstance(value, (bool, float)):
         return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

@@ -172,7 +172,7 @@ def test_criterion_10_greedy_not_maximal():
         for n in range(1, 7):
             base = enumerate_C(n)
             ext = greedy_maximal_extension(base)
-            assert base.members <= ext.members
+            assert set(base.masks) <= set(ext.masks)
             if len(ext) > len(base):
                 strictly_larger += 1
         assert strictly_larger >= 1

@@ -224,15 +224,24 @@ def test_one_bit_flip_sensitivity():
 
 
 def test_family_validation():
-    members = frozenset({B("01"), B("10")})
-    fam = Family(2, members)
+    fam = Family(2, (0b01, 0b10))
     assert len(fam) == 2
     assert B("01") in fam
+    assert B("11") not in fam and B("001") not in fam and 0b01 not in fam
     assert [str(m) for m in fam] == ["01", "10"]
+    assert fam.sorted_members() == [B("01"), B("10")]
     with pytest.raises(ValueError):
-        Family(3, members)
+        Family(1, (0b01, 0b10))  # 0b10 does not fit in one position
     with pytest.raises(ValueError):
-        Family(0, frozenset())
+        Family(0, ())
+
+
+def test_family_masks_must_be_strictly_ascending():
+    assert Family(3, ()).masks == ()
+    assert Family(3, (0, 7)).masks == (0, 7)
+    for masks in ((0b10, 0b01), (0b01, 0b01), (-1, 0b01), (-1,), (8,)):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Family(3, masks)
 
 
 def test_family_from_literals():
@@ -241,6 +250,11 @@ def test_family_from_literals():
     with pytest.raises(ValueError):
         Family.from_literals([])
     assert len(Family.from_literals([], length=4)) == 0
+    assert Family.from_literals(["11", "00", "10"]).masks == (0b00, 0b10, 0b11)
+    with pytest.raises(ValueError, match="member 011 has length 3, family has 2"):
+        Family.from_literals(["10", "011"])
+    with pytest.raises(ValueError, match="member 10 has length 2, family has 3"):
+        Family.from_literals(["10"], length=3)
 
 
 def test_all_strings_order_and_count():

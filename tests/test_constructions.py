@@ -24,7 +24,7 @@ B = BitString.from_string
 
 
 def literals(family: Family) -> set[str]:
-    return {str(m) for m in family.members}
+    return {str(m) for m in family}
 
 
 def test_enumerate_C_small():
@@ -36,7 +36,7 @@ def test_enumerate_C_small():
 def test_enumerate_C_definition_and_size():
     for n in range(1, 13):
         fam = enumerate_C(n)
-        assert all(gamma(m) > n for m in fam.members)
+        assert all(gamma(m) > n for m in fam)
         assert len(fam) == COUNT_C[n] == count_C(n)
 
 
@@ -55,7 +55,7 @@ def test_enumerate_fibonacci_small():
 def test_enumerate_fibonacci_counts():
     for n in range(1, 17):
         fam = enumerate_fibonacci(n)
-        assert all(is_fibonacci(m) for m in fam.members)
+        assert all(is_fibonacci(m) for m in fam)
         assert len(fam) == fibonacci_count(n)
 
 
@@ -70,7 +70,7 @@ def test_verify_pairwise_ok_cases():
     for n in range(1, 11):
         assert verify_pairwise_skewincident(enumerate_C(n)) is None, n
     # empty and singleton families are vacuously fine
-    assert verify_pairwise_skewincident(Family(3, frozenset())) is None
+    assert verify_pairwise_skewincident(Family(3, ())) is None
     assert verify_pairwise_skewincident(Family.from_literals(["000"])) is None
 
 
@@ -109,7 +109,7 @@ def test_greedy_extension_grows_strictly():
     for n in range(1, 7):
         base = enumerate_C(n)
         ext = greedy_maximal_extension(base)
-        assert base.members <= ext.members
+        assert set(base.masks) <= set(ext.masks)
         assert len(ext) > len(base), n
         assert len(ext) <= 1 << n
         assert verify_pairwise_skewincident(ext) is None
@@ -120,10 +120,10 @@ def test_greedy_extension_small_cases():
     assert literals(ext) == {"01", "10", "11"}
     assert len(ext) >= 3
     # a maximal family is a fixed point
-    assert greedy_maximal_extension(ext).members == ext.members
+    assert greedy_maximal_extension(ext).masks == ext.masks
     # the empty family greedily picks the all-zero string, which then blocks
     # every other candidate
-    assert literals(greedy_maximal_extension(Family(3, frozenset()))) == {"000"}
+    assert literals(greedy_maximal_extension(Family(3, ()))) == {"000"}
 
 
 def test_greedy_extension_rejects_bad_input():
@@ -141,7 +141,7 @@ def test_construction_meets_fibonacci_in_antichain():
     interesting cases."""
     for n in range(2, 13):
         base = enumerate_C(n)
-        assert not any(is_fibonacci(m) for m in base.members)
+        assert not any(is_fibonacci(m) for m in base)
         for fam in (base, greedy_maximal_extension(base)):
             fib_members = [m for m in fam.sorted_members() if is_fibonacci(m)]
             for i, x in enumerate(fib_members):
@@ -154,7 +154,7 @@ def test_lines_round_trip():
     text = family_to_lines(fam)
     assert text.endswith("\n")
     assert family_from_lines(text) == fam
-    assert family_from_lines("", length=4) == Family(4, frozenset())
+    assert family_from_lines("", length=4) == Family(4, ())
     with pytest.raises(ValueError):
         family_from_lines("")
     # lines come out sorted
@@ -165,7 +165,7 @@ def test_json_round_trip():
     fam = enumerate_C(5)
     text = family_to_json(fam)
     assert family_from_json(text) == fam
-    assert family_from_json("[]", length=3) == Family(3, frozenset())
+    assert family_from_json("[]", length=3) == Family(3, ())
     with pytest.raises(ValueError):
         family_from_json("[]")
     with pytest.raises(ValueError):

@@ -93,3 +93,35 @@ def test_no_function_calls_itself():
     recursive = {name: calls for name, tree in parsed_modules().items()
                  if (calls := self_calls(tree))}
     assert recursive == {}
+
+
+def unreferenced_definitions(defined: dict[str, ast.Module],
+                             readers: list[ast.Module]) -> list[str]:
+    """Functions, methods and classes of ``defined`` (dunders excepted) whose
+    name no ``readers`` tree mentions as a name, an attribute or an import."""
+    named = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update((node.name, node.asname))
+    return [f"{module}:{node.lineno} {node.name}"
+            for module, tree in defined.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in named]
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced_definitions(
+        {"m": ast.parse("class A:\n    def used(self): pass\n    def dead(self): pass\n"
+                        "    def __len__(self): return 0\n")},
+        [ast.parse("A().used()\n")]) == ["m:3 dead"]
+    root = PACKAGE.parents[1]
+    readers = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+               for folder in ("src", "tests", "bench")
+               for path in sorted((root / folder).rglob("*.py"))]
+    assert unreferenced_definitions(parsed_modules(), readers) == []

@@ -281,3 +281,22 @@ def test_cli_error_messages_name_the_fix(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"graph spec {spec!r}" in captured.err and "invalid literal" not in captured.err
+
+
+def test_cli_report_rejects_the_other_tables_option(capsys):
+    for argv in (["report", "--table", "summary", "--n-range", "1..2", "--max-n", "3"],
+                 ["report", "--table", "theorem", "--max-n", "3", "--n-range", "1..2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not take" in captured.err, argv
+
+
+def test_cli_sperner_names_its_cap_for_every_n(capsys):
+    for argv in (["sperner", "--n-range", "0..2"], ["sperner", "--n", "0"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n must be in [1, 20], got 0" in captured.err, argv

@@ -10,6 +10,13 @@ gives pairwise-attractive mappings. So one relation builder and one exact
 branch-and-bound engine back them all; that engine is one iterative,
 explicit-stack search serving both the size search and the witness pass.
 Self-relation never matters: families are constrained on distinct pairs.
+
+Subset families also hand the engine a seed family from the vertex-cover
+LP of the unrelated graph H (a shifting lemma, then one Hopcroft-Karp
+matching on H's bipartite double cover, then the Nemhauser-Trotter
+kernel). The engine checks the seed is a clique and uses it only as a
+floor, so optimality never rests on the LP. The same Hopcroft-Karp
+function serves the Sperner layer's cover-edge matching.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import itertools
 import json
 import operator
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -200,23 +208,43 @@ def _search(rrows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | 
     return best
 
 
-def max_clique(instance: CliqueInstance) -> ExtremalResult:
+def max_clique(
+    instance: CliqueInstance, seed: Callable[[], int] | None = None
+) -> ExtremalResult:
     """Exact maximum set of pairwise-related elements.
 
+    The size search starts from a greedy clique and stops at the root
+    coloring bound. When greedy falls short of that bound and ``seed`` is
+    given, ``seed()`` is called for a clique (a mask of element indices);
+    it raises ValueError unless the mask is a clique, and the larger of the
+    two becomes the floor. The search then runs only while the floor is
+    below the bound, so a seed that meets it leaves no size search at all.
+
     The witness is the lexicographically first optimum: after the size is
-    fixed by the search, elements are committed in ascending index order
-    whenever a completion to that size still exists. An optimum is carried
-    along, and each completion is first repaired from it: its members that
-    remain candidates are kept and grown greedily. Only when that falls
-    short does a search decide, so mostly exclusions pay for one.
+    fixed, elements are committed in ascending index order whenever a
+    completion to that size still exists. An optimum is carried along, and
+    each completion is first repaired from it: its members that remain
+    candidates are kept and grown greedily. Only when that falls short does
+    a search decide, so mostly exclusions pay for one. Each decision
+    depends only on the size, so the seed never changes the witness.
     """
     t0 = time.perf_counter()
     count = instance.count
     _, pos, rrows = _degree_order(instance.rows, count)
     full = (1 << count) - 1
-    greedy = _greedy_clique(rrows, full, 0, count)
-    found = _search(rrows, full, greedy.bit_count(), count)
-    known = greedy if found is None else _union(1 << v for v in found)
+    known = _greedy_clique(rrows, full, 0, count)
+    bound = _greedy_color_order(full, rrows)[1][-1]
+    if seed is not None and known.bit_count() < bound:
+        seeded = _union(1 << pos[v] for v in _bits(seed()))
+        for v in _bits(seeded):
+            if (rrows[v] | 1 << v) & seeded != seeded:
+                raise ValueError("seed is not a clique of the instance")
+        if seeded.bit_count() > known.bit_count():
+            known = seeded
+    if known.bit_count() < bound:
+        found = _search(rrows, full, known.bit_count(), bound)
+        if found is not None:
+            known = _union(1 << v for v in found)
     size = known.bit_count()  # known: a carried optimum's members beyond the witness
     witness: list[int] = []
     p = full  # candidates, in reordered labels
@@ -272,11 +300,132 @@ def enumerate_max_clique(instance: CliqueInstance) -> ExtremalResult:
     return ExtremalResult(best_size, witness, "enumeration", elapsed)
 
 
+def hopcroft_karp(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Maximum matching of a bipartite graph whose left and right sides are
+    both indexed 0..len(adj)-1; left vertex u joins the right vertices adj[u].
+
+    Greedy seeding in index order, then Hopcroft-Karp phases, each
+    augmenting along vertex-disjoint shortest paths found depth-first in
+    adjacency order; returns (match_of_left, match_of_right), -1 when free.
+    """
+    count = len(adj)
+    match_left = [-1] * count
+    match_right = [-1] * count
+    for u in range(count):
+        for v in adj[u]:
+            if match_right[v] == -1:
+                match_left[u] = v
+                match_right[v] = u
+                break
+
+    infinity = count + 1
+    dist = [0] * count
+
+    def augment(root: int, shortest: int) -> None:
+        """Flip the first shortest augmenting path from the free left vertex
+        ``root``, searched depth-first in adjacency order; a left vertex on
+        no such path is marked unreachable for the rest of the phase."""
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            u, edges = stack[-1]
+            for v in edges:
+                w = match_right[v]
+                if w == -1 and dist[u] + 1 == shortest:
+                    # back from the free end: each left vertex takes the right vertex
+                    # handed up to it and passes its old partner (-1 at the root) up
+                    for a, _ in reversed(stack):
+                        match_right[v] = a
+                        match_left[a], v = v, match_left[a]
+                    return
+                if w != -1 and dist[w] == dist[u] + 1:
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = infinity
+                stack.pop()
+
+    while True:
+        queue: deque[int] = deque()
+        for u in range(count):
+            if match_left[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = infinity
+        shortest = infinity
+        while queue:
+            u = queue.popleft()
+            du = dist[u]
+            if du >= shortest:
+                continue
+            for v in adj[u]:
+                w = match_right[v]
+                if w == -1:
+                    if shortest == infinity:
+                        shortest = du + 1
+                elif dist[w] == infinity:
+                    dist[w] = du + 1
+                    queue.append(w)
+        if shortest == infinity:
+            return match_left, match_right
+        for u in range(count):
+            if match_left[u] == -1:
+                augment(u, shortest)
+
+
+def _cover_family(rows: Sequence[int], nbrs: Sequence[int]) -> int:
+    """A pairwise-related family of vertex subsets of a graph, as a mask
+    over the subset bitmasks, from the vertex-cover LP of the unrelated
+    graph H (x ~ y iff y misses N(x), the neighborhood of x).
+
+    Shifting members up to strict supersets ends in an up-set of the same
+    size, whose members are related to all their strict supersets: only
+    subsets meeting N(x) or with x | N(x) everything are kept in H. A
+    matching of H's double cover gives a Koenig cover by alternating search
+    from the free left copies; LP value 0 means the left copy is reached and
+    the right one is not. By Nemhauser-Trotter those subsets plus a largest
+    clique of the half-integral kernel are optimal; half the kernel bounds
+    that clique, which stops its search.
+    """
+    full = (1 << len(nbrs)) - 1
+    reach = [0] * (full + 1)  # reach[x]: N(x)
+    for x in range(1, full + 1):
+        low = x & -x
+        reach[x] = reach[x ^ low] | nbrs[low.bit_length() - 1]
+    kept = [x for x, nx in enumerate(reach) if x & nx or x | nx == full]
+    index = {x: i for i, x in enumerate(kept)}
+    kept_mask = _union(1 << x for x in kept)
+    adj = [[index[y] for y in _bits(kept_mask & ~rows[x] & ~(1 << x))] for x in kept]
+    match_left, match_right = hopcroft_karp(adj)
+    left_in = [m == -1 for m in match_left]
+    right_in = [False] * len(kept)
+    reached = [u for u, m in enumerate(match_left) if m == -1]
+    for u in reached:  # grows while it is walked: alternating breadth-first search
+        for v in adj[u]:
+            if not right_in[v]:
+                right_in[v] = True
+                w = match_right[v]  # matched: a free one would end an augmenting path
+                if not left_in[w]:
+                    left_in[w] = True
+                    reached.append(w)
+    zero = _union(1 << x for x, a, b in zip(kept, left_in, right_in) if a and not b)
+    kernel = [x for x, a, b in zip(kept, left_in, right_in) if a == b]
+    cand = _union(1 << x for x in kernel)
+    clique = _greedy_clique(rows, cand, 0, len(kernel))
+    if clique.bit_count() < len(kernel) // 2:
+        found = _search(rows, cand, clique.bit_count(), len(kernel) // 2)
+        if found is not None:
+            clique = _union(1 << v for v in found)
+    return zero | clique
+
+
 def _subset_family(g: Graph) -> ExtremalResult:
     """Largest family of vertex subsets of g (elements are the bitmasks),
-    any two distinct ones containing a pair of adjacent vertices."""
+    any two distinct ones containing a pair of adjacent vertices; seeded
+    with the vertex-cover family of ``_cover_family``."""
     nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
-    return max_clique(CliqueInstance.from_neighborhoods(nbrs, range(1 << g.vertex_count)))
+    instance = CliqueInstance.from_neighborhoods(nbrs, range(1 << g.vertex_count))
+    return max_clique(instance, seed=functools.partial(_cover_family, instance.rows, nbrs))
 
 
 def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:

@@ -16,13 +16,12 @@ returned witnesses and chains become ``BitString``s.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .bitstring import BitString
 from .constructions import fibonacci_masks
 from .counting import fibonacci_count
-from .solver import CliqueInstance, max_clique
+from .solver import CliqueInstance, hopcroft_karp, max_clique
 
 MAX_POSET_LENGTH = 20
 ORACLE_MAX_LENGTH = 10
@@ -35,79 +34,13 @@ def _checked_masks(n: int, cap: int) -> list[int]:
 
 
 def _cover_matching(bits: list[int]) -> tuple[list[int], list[int]]:
-    """Maximum matching over cover edges.
-
-    Left copy u connects to right copy v iff bits[v] is bits[u] with one set
-    bit cleared. Greedy seeding in index order, then Hopcroft-Karp phases,
-    each augmenting along vertex-disjoint shortest paths found depth-first
-    in adjacency order; returns (match_of_left, match_of_right).
-    """
+    """Maximum matching over cover edges: left copy u connects to right copy
+    v iff bits[v] is bits[u] with one set bit cleared, adjacency listed by
+    the cleared bit, low first; returns (match_of_left, match_of_right)."""
     index = {b: i for i, b in enumerate(bits)}
-    count = len(bits)
-    adj = [[index[b & ~(1 << j)] for j in range(b.bit_length()) if b >> j & 1] for b in bits]
-
-    match_left = [-1] * count
-    match_right = [-1] * count
-    for u in range(count):
-        for v in adj[u]:
-            if match_right[v] == -1:
-                match_left[u] = v
-                match_right[v] = u
-                break
-
-    infinity = count + 1
-    dist = [0] * count
-
-    def augment(root: int, shortest: int) -> None:
-        """Flip the first shortest augmenting path from the free left vertex
-        ``root``, searched depth-first in adjacency order; a left vertex on
-        no such path is marked unreachable for the rest of the phase."""
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            u, edges = stack[-1]
-            for v in edges:
-                w = match_right[v]
-                if w == -1 and dist[u] + 1 == shortest:
-                    # back from the free end: each left vertex takes the right vertex
-                    # handed up to it and passes its old partner (-1 at the root) up
-                    for a, _ in reversed(stack):
-                        match_right[v] = a
-                        match_left[a], v = v, match_left[a]
-                    return
-                if w != -1 and dist[w] == dist[u] + 1:
-                    stack.append((w, iter(adj[w])))
-                    break
-            else:
-                dist[u] = infinity
-                stack.pop()
-
-    while True:
-        queue: deque[int] = deque()
-        for u in range(count):
-            if match_left[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = infinity
-        shortest = infinity
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            if du >= shortest:
-                continue
-            for v in adj[u]:
-                w = match_right[v]
-                if w == -1:
-                    if shortest == infinity:
-                        shortest = du + 1
-                elif dist[w] == infinity:
-                    dist[w] = du + 1
-                    queue.append(w)
-        if shortest == infinity:
-            return match_left, match_right
-        for u in range(count):
-            if match_left[u] == -1:
-                augment(u, shortest)
+    return hopcroft_karp(
+        [[index[b & ~(1 << j)] for j in range(b.bit_length()) if b >> j & 1] for b in bits]
+    )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,18 @@
 """Materialized families: construction contents, verification, greedy growth."""
 
+import random
+
 import pytest
 
-from skewlab.bitstring import BitString, Family, LengthMismatchError, comparable, gamma, is_fibonacci
+from skewlab.bitstring import (
+    BitString,
+    Family,
+    LengthMismatchError,
+    comparable,
+    gamma,
+    is_fibonacci,
+    skewincident_bits,
+)
 from skewlab.constructions import (
     NotPairwiseSkewincidentError,
     disjointness_counterexample,
@@ -79,6 +89,36 @@ def test_verify_pairwise_counterexample_is_lex_first():
     assert verdict == (B("00"), B("10"))
     verdict = verify_pairwise_skewincident(Family.from_literals(["11", "01", "00"]))
     assert verdict == (B("00"), B("01"))
+
+
+def pair_scan(family: Family) -> tuple[BitString, BitString] | None:
+    """The lexicographically first pair of members that is not skewincident,
+    by one test per pair."""
+    n, masks = family.length, family.masks
+    for i, x in enumerate(masks):
+        for y in masks[i + 1:]:
+            if not skewincident_bits(x, y):
+                return BitString(n, x), BitString(n, y)
+    return None
+
+
+def test_verify_pairwise_matches_the_pair_scan():
+    """Random families for n <= 10: samples of C_n (few free bits, so the
+    submask walk decides), some with stray strings added, and some with a
+    random share of all strings (many free bits, so the member scan does)."""
+    rng = random.Random(8)
+    verdicts = set()
+    for trial in range(400):
+        n = 1 + trial % 10
+        masks = {x for x in enumerate_C(n).masks if rng.random() < 0.8}
+        masks |= {rng.randrange(1 << n) for _ in range(trial % 3)}
+        if trial % 5 == 0:
+            masks |= {x for x in range(1 << n) if rng.random() < 0.3}
+        family = Family(n, tuple(sorted(masks)))
+        verdict = verify_pairwise_skewincident(family)
+        assert verdict == pair_scan(family), (n, family.masks)
+        verdicts.add(verdict is None)
+    assert verdicts == {True, False}
 
 
 def test_disjointness_argument_examples():

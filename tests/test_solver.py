@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from skewlab import solver
-from skewlab.bitstring import skewincident, skewincident_bits
+from skewlab.bitstring import influence_bits, skewincident, skewincident_bits
 from skewlab.graphs import Graph, all_loops, complete_multipartite, path, skew_alphabet
 from skewlab.solver import (
     CliqueInstance,
@@ -171,9 +171,12 @@ def test_recursion_limit_untouched(monkeypatch):
 
 
 def test_search_work_is_pinned(monkeypatch):
-    """Colorings made and vertices colored over the size search and the
-    witness pass together; a pruning change, or a completion that stops
-    being repaired, shows up here as a diff."""
+    """Colorings made and vertices colored over the size search, the seed's
+    kernel search and the witness pass together; a pruning change, a
+    completion that stops being repaired, or a seed that stops meeting the
+    root bound shows up here as a diff. Up to n = 8 greedy already meets the
+    root bound. Without the seed, path(9) took 423 colorings of 91,316
+    vertices and path(10) 873 of 389,832."""
     colored = []
     color_order = solver._greedy_color_order
 
@@ -187,6 +190,8 @@ def test_search_work_is_pinned(monkeypatch):
         (exact_M, 8, 16, 2949),
         (exact_MG, complete_multipartite((2, 2, 2)), 2, 64),
         (exact_MG, all_loops(10), 2, 1024),
+        (exact_MG, path(9), 29, 11612),
+        (exact_MG, path(10), 63, 54366),
     ]
     for extremal, arg, calls, vertices in cases:
         colored.clear()
@@ -194,14 +199,15 @@ def test_search_work_is_pinned(monkeypatch):
         assert (len(colored), sum(colored)) == (calls, vertices), (extremal.__name__, arg)
 
 
-def built_instance(monkeypatch, extremal, *args) -> CliqueInstance:
-    """The instance an extremal function hands to the clique engine."""
+def built_instance(monkeypatch, extremal, *args) -> tuple[CliqueInstance, object]:
+    """The instance an extremal function hands to the clique engine, and
+    the seed it passes along."""
     seen = []
     engine = solver.max_clique
 
-    def capture(instance):
-        seen.append(instance)
-        return engine(instance)
+    def capture(instance, seed=None):
+        seen.append((instance, seed))
+        return engine(instance, seed)
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "max_clique", capture)
@@ -212,8 +218,9 @@ def built_instance(monkeypatch, extremal, *args) -> CliqueInstance:
 
 def test_exact_M_relation_is_skewincidence(monkeypatch):
     for n in range(1, 9):
-        inst = built_instance(monkeypatch, exact_M, n)
+        inst, seed = built_instance(monkeypatch, exact_M, n)
         assert inst.rows == CliqueInstance.from_relation(1 << n, skewincident_bits).rows, n
+        assert seed is not None
 
 
 def test_exact_MG_relation_is_pairwise_neighbor(monkeypatch):
@@ -230,7 +237,8 @@ def test_exact_MG_relation_is_pairwise_neighbor(monkeypatch):
                 for v in range(vertices) if b >> v & 1
             )
 
-        inst = built_instance(monkeypatch, exact_MG, g)
+        inst, seed = built_instance(monkeypatch, exact_MG, g)
+        assert seed is not None
         assert inst.rows == CliqueInstance.from_relation(1 << vertices, neighbor_pair).rows, g
 
 
@@ -246,14 +254,37 @@ def test_exact_attractive_relation_is_attraction(monkeypatch):
                     a, b = maps[ia], maps[ib]
                     return any(g_graph.adjacent(a[i], b[j]) for i, j in fpairs)
 
-                inst = built_instance(monkeypatch, exact_attractive, f_graph, g_graph, n)
+                inst, seed = built_instance(monkeypatch, exact_attractive, f_graph, g_graph, n)
                 expected = CliqueInstance.from_relation(len(maps), attractive)
                 assert inst.rows == expected.rows, (n, f_graph, g_graph)
+                assert seed is None  # one-hot codes are not closed under supersets
 
 
 def test_exact_M_values():
     for n, expected in MAX_FAMILY.items():
-        assert exact_M(n).size == expected, n
+        assert exact_M(n, override_cap=n > 8).size == expected, n
+
+
+def test_cover_bound_meets_the_frozen_values():
+    """The upper-bound half of the vertex-cover route, independent of the
+    clique engine: shifting leaves only the kept strings (two adjacent ones,
+    or x | infl(x) everything), and a matching of size nu on the double
+    cover of their non-skewincidence graph H bounds any family by
+    |kept| - ceil(nu / 2). Built here from ``influence_bits`` alone."""
+    for n, expected in MAX_FAMILY.items():
+        full = (1 << n) - 1
+        kept = [x for x in range(1 << n)
+                if x & influence_bits(x, n) or x | influence_bits(x, n) == full]
+        index = {x: i for i, x in enumerate(kept)}
+        adj = []
+        for x in kept:  # H-neighbours of x: the kept submasks y != x of full & ~infl(x)
+            free = full & ~influence_bits(x, n)
+            subs = itertools.accumulate(range(1 << free.bit_count()), lambda y, _: (y - free) & free)
+            adj.append([index[y] for y in subs if y != x and y in index])
+        match_left, match_right = solver.hopcroft_karp(adj)
+        pairs = [(u, v) for u, v in enumerate(match_left) if v != -1]
+        assert all(match_right[v] == u and v in adj[u] for u, v in pairs)
+        assert len(kept) - (len(pairs) + 1) // 2 == expected, n
 
 
 def test_exact_M_witness():
@@ -268,7 +299,9 @@ def test_exact_M_witness():
 
 
 # SHA-256 of the space-joined exact_M(n) witness, recorded when every
-# completion of the witness pass was decided by a search
+# completion of the witness pass was decided by a search; n = 12 recorded
+# from the unseeded engine (size search from the greedy floor, then the
+# repair-first witness pass)
 EXACT_M_WITNESS_SHA256 = {
     1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
     2: "8147349b2360102cc67c7193fa4160e1077024716bca95cb9111388645d4970a",
@@ -281,6 +314,7 @@ EXACT_M_WITNESS_SHA256 = {
     9: "20d1b8c14d62108b96af9f78cb000d0426048452a5c090e1bcd0c78ce3e10e6b",
     10: "65d4db30602455faf087ab1518ea04292bda6df638ded129178e8417fcbdcde4",
     11: "9dc89aebb3bba7d2ed4c57fcd10eddcb514adb7e27ccaffe73b5a294c097a5c7",
+    12: "8c3b76ea4d527a9bfcc8321c0d823f8c92d7eb434ea3eecc80a422bc82566a25",
 }
 
 
@@ -297,6 +331,59 @@ def test_exact_M_cap_and_override():
         exact_M(13, override_cap=True)
     res = exact_M(9, override_cap=True)
     assert res.size >= exact_M(8).size
+
+
+def unseeded_subset_family(g: Graph):
+    """The subset-family optimum from the clique engine's own size search."""
+    nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
+    return max_clique(CliqueInstance.from_neighborhoods(nbrs, range(1 << g.vertex_count)))
+
+
+def test_seeded_subset_family_matches_unseeded_engine(monkeypatch):
+    """Size and witness of ``exact_MG`` against the engine without a seed,
+    on random graphs with loops, K_{3,3,3}, paths, all-loops and edgeless."""
+    seeded = []
+    cover = solver._cover_family
+
+    def counted(rows, nbrs):
+        seeded.append(len(nbrs))
+        return cover(rows, nbrs)
+
+    monkeypatch.setattr(solver, "_cover_family", counted)
+    rng = random.Random(40)
+    graphs = []
+    for _ in range(40):
+        vertices = rng.randint(2, 9)
+        density = rng.uniform(0.15, 0.6)
+        pairs = [(u, v) for u in range(vertices) for v in range(u, vertices)]
+        graphs.append(Graph(vertices, [e for e in pairs if rng.random() < density]))
+    graphs += [complete_multipartite((3, 3, 3)), all_loops(10), Graph(6, [])]
+    graphs += [path(n) for n in range(1, 11)]
+    for g in graphs:
+        res = exact_MG(g)
+        ref = unseeded_subset_family(g)
+        assert res.size == ref.size, g
+        assert res.witness == [tuple(solver._bits(m)) for m in ref.witness], g
+    # greedy falls short of the root bound, so the seed is built, on six of
+    # the random graphs and on path(9) and path(10)
+    assert len(seeded) >= 8, seeded
+    seeded.clear()
+    exact_MG(all_loops(10))
+    assert seeded == []  # greedy meets the root bound: H is never built
+
+
+def test_seed_must_be_a_clique():
+    cycle5 = CliqueInstance.from_relation(5, lambda i, j: (i - j) % 5 in (1, 4))
+    with pytest.raises(ValueError, match="not a clique"):
+        max_clique(cycle5, seed=lambda: 0b00101)  # 0 and 2 are not related
+    res = max_clique(cycle5, seed=lambda: 0b11000)
+    assert (res.size, res.witness) == (2, [0, 1])  # the witness ignores the seed
+
+    def refuse():
+        raise AssertionError("seed called although greedy meets the root bound")
+
+    triangle = CliqueInstance.from_relation(3, lambda i, j: True)
+    assert max_clique(triangle, seed=refuse).size == 3
 
 
 def test_exact_MG_small_graphs():

@@ -7,6 +7,12 @@ positions, packed into one big integer (Kronecker substitution: the count
 for total v sits in slot v, _SLOT_BITS wide). A step of the program is one
 shift-and-add per state, a tail count is one shift and one residue, and no
 string is ever materialized, so it runs comfortably up to n = 512.
+
+The sampler checks the tail against uniform draws from the SplitMix64
+stream. ``SplitMix64`` is the stream's readable definition; the sampler
+evaluates the same stream a block of draws at a time, one draw per lane of a
+single integer, so a block costs a few dozen whole-integer operations
+instead of a Python loop per draw.
 """
 
 from __future__ import annotations
@@ -32,6 +38,12 @@ _MASK64 = (1 << 64) - 1
 _SM64_INCREMENT = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
+
+# Monte Carlo kernel: a block of _LANES draws is one integer, one draw per
+# _LANE_BITS-wide lane, wide enough that a 64-bit value times a 64-bit
+# multiplier stays inside its lane.
+_LANES = 2048
+_LANE_BITS = 128
 
 
 class CrossoverNotFoundError(ValueError):
@@ -259,28 +271,60 @@ class SplitMix64:
         return SplitMix64(self.next_uint64())
 
 
+@lru_cache(maxsize=1)
+def _lane_constants() -> tuple[int, ...]:
+    """The kernel's per-lane constants, built on first use: ONES (1 at the
+    bottom of every lane), STEPS ((t + 1) times the increment in lane t, below
+    2^77), M64 (2^64 - 1 in every lane), the 0x55/0x33/0x0F popcount masks
+    across the whole block and 0xFF in the low byte of every lane."""
+    full = (1 << _LANE_BITS * _LANES) - 1
+    ones = full // ((1 << _LANE_BITS) - 1)
+    counter = b"".join(t.to_bytes(_LANE_BITS // 8, "little") for t in range(1, _LANES + 1))
+    steps = int.from_bytes(counter, "little") * _SM64_INCREMENT
+    return ones, steps, _MASK64 * ones, full // 3, full // 5, full // 17, 0xFF * ones
+
+
 def monte_carlo_tail(n: int, samples: int, seed: int) -> TailEstimate:
     """Estimate Pr{gamma <= n} from ``samples`` seeded uniform draws.
 
-    Reproducible: the draws are exactly the SplitMix64 stream for ``seed``
-    (the generator step is inlined here because this loop dominates the
-    module's runtime).
+    Reproducible: draw i is the low n bits of output i of ``SplitMix64(seed)``,
+    so the same (n, samples, seed) gives the same estimate on any
+    implementation of that stream. The stream is evaluated _LANES draws at a
+    time, one draw per _LANE_BITS-wide lane of a single integer: the step,
+    the finalizer and the gamma test are whole-integer adds, shifts, masks
+    and multiplications by 64-bit constants, none of which carries across a
+    lane, and one ``bit_count`` counts a block's draws with gamma > n.
     """
     if not 1 <= n <= MAX_SAMPLING_LENGTH:
         raise ValueError(f"n must be in [1, {MAX_SAMPLING_LENGTH}], got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    mask = (1 << n) - 1
-    state = seed & _MASK64
-    hits = 0
-    for _ in range(samples):
-        state = (state + _SM64_INCREMENT) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _SM64_MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
-        x = (z ^ (z >> 31)) & mask
-        if x.bit_count() + (((x << 1) | (x >> 1)) & mask).bit_count() <= n:
-            hits += 1
-    estimate = hits / samples
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    ones, steps, m64, m55, m33, m0f, m_low_byte = _lane_constants()
+    lane_mask = ((1 << n) - 1) * ones
+    bias = (255 - n) * ones  # a lane's gamma + bias reaches 256 iff gamma > n
+    above = 0
+    for done in range(0, samples, _LANES):
+        # lane t: state after done + t + 1 steps, then the SplitMix64 finalizer
+        z = (steps + ((seed + done * _SM64_INCREMENT) & _MASK64) * ones) & m64
+        z = ((z ^ (z >> 30)) & m64) * _SM64_MIX1 & m64
+        z = ((z ^ (z >> 27)) & m64) * _SM64_MIX2 & m64
+        x = (z ^ (z >> 31)) & lane_mask
+        # the draw in the low half of its lane, its influence in the high half
+        v = x | (((x << 1) | (x >> 1)) & lane_mask) << 64
+        # SWAR popcount: 2-, 4-, 8-bit sums, then the lane's 16 bytes into its low byte
+        v -= (v >> 1) & m55
+        v = (v & m33) + ((v >> 2) & m33)
+        v = (v + (v >> 4)) & m0f
+        v += v >> 8
+        v += v >> 16
+        v += v >> 32
+        v += v >> 64
+        v = (((v & m_low_byte) + bias) >> 8) & ones
+        if samples - done < _LANES:
+            v &= (1 << _LANE_BITS * (samples - done)) - 1
+        above += v.bit_count()
+    estimate = (samples - above) / samples
     stderr = math.sqrt(estimate * (1.0 - estimate) / samples)
-    return TailEstimate(n, samples, seed & _MASK64, estimate, stderr)
+    return TailEstimate(n, samples, seed, estimate, stderr)

@@ -22,7 +22,17 @@ from skewlab.counting import (
     monte_carlo_tail,
     tail_probability,
 )
-from tables import COUNT_C, CROSSOVER_N, EXPECTED_GAMMA, FIBONACCI, GAMMA_HIST, SPLITMIX64_SEED0, TAIL
+from skewlab.counting import _LANES
+from tables import (
+    COUNT_C,
+    CROSSOVER_N,
+    EXPECTED_GAMMA,
+    FIBONACCI,
+    GAMMA_HIST,
+    MONTE_CARLO_HITS,
+    SPLITMIX64_SEED0,
+    TAIL,
+)
 
 
 def gamma_histogram_brute(n: int) -> dict[int, int]:
@@ -232,6 +242,27 @@ def test_monte_carlo_matches_generator_class():
     assert est.estimate == hits / samples
 
 
+def test_monte_carlo_stream_across_block_boundaries():
+    """Hit counts equal a draw-by-draw loop over the generator class for
+    sample counts around the block width, and for the seed whose state wraps
+    on the first step."""
+    longest = 3 * _LANES + 5
+    for seed in (0, 2 ** 64 - 1):
+        gen = SplitMix64(seed)
+        stream = [gen.next_uint64() for _ in range(longest)]
+        for n in (1, 2, 31, 32, 63, 64):
+            mask = (1 << n) - 1
+            passed = [gamma_bits(z & mask, n) <= n for z in stream]
+            for samples in (1, _LANES - 1, _LANES, _LANES + 1, longest):
+                est = monte_carlo_tail(n, samples, seed)
+                assert est.estimate == sum(passed[:samples]) / samples, (n, samples, seed)
+
+
+def test_monte_carlo_frozen_hit_counts():
+    for (n, samples, seed), hits in MONTE_CARLO_HITS.items():
+        assert monte_carlo_tail(n, samples, seed).estimate == hits / samples, (n, samples, seed)
+
+
 def test_monte_carlo_reproducible():
     a = monte_carlo_tail(20, 5000, 123)
     b = monte_carlo_tail(20, 5000, 123)
@@ -257,3 +288,11 @@ def test_monte_carlo_stderr_formula_and_validation():
         monte_carlo_tail(10, 0, 1)
     with pytest.raises(ValueError):
         monte_carlo_tail(65, 10, 1)
+
+
+def test_monte_carlo_rejects_out_of_range_seeds():
+    # a seed is a 64-bit state; reducing it would give two seeds one stream
+    for bad in (-1, 2 ** 64, 2 ** 70):
+        with pytest.raises(ValueError, match="seed must be in"):
+            monte_carlo_tail(3, 10, bad)
+    assert monte_carlo_tail(3, 10, 2 ** 64 - 1).seed == 2 ** 64 - 1

@@ -222,6 +222,14 @@ def test_cli_montecarlo(capsys):
     assert out.splitlines()[1].endswith("true")
 
 
+def test_cli_montecarlo_rejects_out_of_range_seed(capsys):
+    for seed in ("-1", str(2 ** 64)):
+        assert main(["montecarlo", "--n", "3", "--samples", "10", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"seed must be in [0, 2^64), got {seed}" in captured.err
+
+
 def test_cli_crossover(capsys):
     code, out = run_cli(capsys, "crossover", "--max-n", "100", "--format", "csv")
     assert code == 0

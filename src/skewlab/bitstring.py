@@ -39,6 +39,28 @@ def skewincident_bits(x: int, y: int) -> bool:
     return (((x >> 1) & y) | (x & (y >> 1))) != 0
 
 
+def submasks(free: int, low: int = 0) -> Iterator[int]:
+    """The submasks of ``free`` that are at least ``low``, ascending.
+
+    The strings not skewincident with x are exactly the submasks of the
+    complement of infl(x), so walking them replaces a scan over all pairs.
+    A ``low`` with bits outside ``free`` starts after the largest submask
+    that shares its bits above the highest such bit.
+    """
+    stray = low & ~free
+    if stray:
+        below = (1 << stray.bit_length()) - 1
+        low = (((low | below) & free) - free) & free
+        if not low:
+            return
+    y = low
+    while True:
+        yield y
+        y = (y - free) & free  # the next submask above y; 0 after the last
+        if not y:
+            return
+
+
 @dataclass(frozen=True)
 class BitString:
     """An immutable binary word of fixed length."""

@@ -13,6 +13,7 @@ from .bitstring import (
     gamma_bits,
     influence_bits,
     skewincident_bits,
+    submasks,
 )
 
 MAX_ENUMERATION_LENGTH = 24
@@ -82,9 +83,8 @@ def verify_pairwise_skewincident(
     for i, x in enumerate(masks):
         free = full & ~influence_bits(x, n)
         if 1 << free.bit_count() <= len(masks) - i - 1:
-            y = 0
-            while y := (y - free) & free:  # the next submask of free above y; 0 after the last
-                if y > x and y in members:
+            for y in submasks(free, x + 1):
+                if y in members:
                     return BitString(n, x), BitString(n, y)
         else:
             for y in masks[i + 1:]:
@@ -112,12 +112,18 @@ def verify_disjointness_argument(x: BitString, y: BitString) -> bool:
 
 def disjointness_counterexample(n: int) -> tuple[BitString, BitString] | None:
     """The first pair x <= y of length-n strings (by value) that breaks the
-    disjointness argument, or None when it holds on every pair."""
+    disjointness argument, or None when it holds on every pair.
+
+    Only a pair that is not skewincident can break it, so for each x only
+    the submasks y >= x of the complement of infl(x) are visited, in the
+    order of the full pair scan.
+    """
     if not 1 <= n <= 12:
         raise ValueError(f"disjointness scan is capped at n = 12, got {n}")
     g = [gamma_bits(x, n) for x in range(1 << n)]
+    full = (1 << n) - 1
     for x in range(1 << n):
-        for y in range(x, 1 << n):
+        for y in submasks(full & ~influence_bits(x, n), x):
             if not _gamma_sum_implication(x, y, g[x] + g[y], n):
                 return BitString(n, x), BitString(n, y)
     return None

@@ -55,6 +55,12 @@ def _check_dp_length(n: int) -> None:
         raise ValueError(f"n must be in [1, {MAX_DP_LENGTH}], got {n}")
 
 
+def _check_seed(seed: int) -> None:
+    # a seed is the 64-bit state; reducing it would give two seeds one stream
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
 @dataclass(frozen=True)
 class GammaDistribution:
     """Exact counts of length-n strings by their gamma value, packed: the
@@ -236,8 +242,8 @@ class TailEstimate:
 class SplitMix64:
     """SplitMix64 generator: 64-bit state, fixed odd increment, avalanche mix.
 
-    Deterministic for a given seed and splittable: ``split`` derives an
-    independent child stream from the next output. The step is
+    Deterministic for a given seed in [0, 2^64), the same seeds that
+    ``monte_carlo_tail`` accepts. The step is
 
         state += 0x9E3779B97F4A7C15
         z = state
@@ -251,7 +257,8 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        _check_seed(seed)
+        self._state = seed
 
     def next_uint64(self) -> int:
         self._state = (self._state + _SM64_INCREMENT) & _MASK64
@@ -259,16 +266,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _SM64_MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
         return z ^ (z >> 31)
-
-    def next_bits(self, n: int) -> int:
-        """A uniform n-bit integer, n <= 64."""
-        if not 1 <= n <= 64:
-            raise ValueError(f"n must be in [1, 64], got {n}")
-        return self.next_uint64() & ((1 << n) - 1)
-
-    def split(self) -> SplitMix64:
-        """A child generator seeded from the next output of this one."""
-        return SplitMix64(self.next_uint64())
 
 
 @lru_cache(maxsize=1)
@@ -299,8 +296,7 @@ def monte_carlo_tail(n: int, samples: int, seed: int) -> TailEstimate:
         raise ValueError(f"n must be in [1, {MAX_SAMPLING_LENGTH}], got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    _check_seed(seed)
     ones, steps, m64, m55, m33, m0f, m_low_byte = _lane_constants()
     lane_mask = ((1 << n) - 1) * ones
     bias = (255 - n) * ones  # a lane's gamma + bias reaches 256 iff gamma > n

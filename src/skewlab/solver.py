@@ -6,17 +6,20 @@ are related when one's code meets the neighborhood of the other's. Only the
 graph and the codes differ: the path P_n with every subset as a code gives
 pairwise-skewincident strings; g with every subset gives pairwise-neighbor
 subset families; the product F x G with one-hot (position, value) codes
-gives pairwise-attractive mappings. So one relation builder and one exact
-branch-and-bound engine back them all; that engine is one iterative,
-explicit-stack search serving both the size search and the witness pass.
-Self-relation never matters: families are constrained on distinct pairs.
+gives pairwise-attractive mappings. Self-relation never matters: families
+are constrained on distinct pairs.
 
-Subset families also hand the engine a seed family from the vertex-cover
-LP of the unrelated graph H (a shifting lemma, then one Hopcroft-Karp
-matching on H's bipartite double cover, then the Nemhauser-Trotter
-kernel). The engine checks the seed is a clique and uses it only as a
-floor, so optimality never rests on the LP. The same Hopcroft-Karp
-function serves the Sperner layer's cover-edge matching.
+Mappings (and the Sperner oracle) go to one dense branch-and-bound engine
+over bitset rows, one iterative, explicit-stack search serving both the
+size search and the witness pass. Subset families never build the dense
+relation: they work in its sparse complement, the unrelated graph H (x ~ y
+iff y misses N(x)). The size comes from the vertex-cover LP of H (a
+shifting lemma, one Hopcroft-Karp matching on H's bipartite double cover,
+then an exact search of the Nemhauser-Trotter kernel); greedy cliques of H
+cover every subset and bound any family by their number; and the
+lexicographically first witness is decided step by step by counting live
+classes, repairing a carried optimum, or else the exact search. The same
+Hopcroft-Karp function serves the Sperner layer's cover-edge matching.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bitstring import BitString
+from .bitstring import BitString, submasks
 from .graphs import Graph, Partition, as_partition, path
 
 MAX_ELEMENTS = 4096
-# every vertex subset is an element, so the vertex count is log2 of the cap
-MAX_SUBSET_VERTICES = MAX_ELEMENTS.bit_length() - 1
+# H holds one 2^n-bit row per vertex subset: 2 MB of rows at 12 vertices
+MAX_SUBSET_VERTICES = 12
 EXACT_M_DEFAULT_CAP = 8
 
 
@@ -208,25 +211,18 @@ def _search(rrows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | 
     return best
 
 
-def max_clique(
-    instance: CliqueInstance, seed: Callable[[], int] | None = None
-) -> ExtremalResult:
+def max_clique(instance: CliqueInstance) -> ExtremalResult:
     """Exact maximum set of pairwise-related elements.
 
-    The size search starts from a greedy clique and stops at the root
-    coloring bound. When greedy falls short of that bound and ``seed`` is
-    given, ``seed()`` is called for a clique (a mask of element indices);
-    it raises ValueError unless the mask is a clique, and the larger of the
-    two becomes the floor. The search then runs only while the floor is
-    below the bound, so a seed that meets it leaves no size search at all.
+    The size search starts from a greedy clique and runs only while it falls
+    short of the root coloring bound.
 
     The witness is the lexicographically first optimum: after the size is
     fixed, elements are committed in ascending index order whenever a
     completion to that size still exists. An optimum is carried along, and
     each completion is first repaired from it: its members that remain
     candidates are kept and grown greedily. Only when that falls short does
-    a search decide, so mostly exclusions pay for one. Each decision
-    depends only on the size, so the seed never changes the witness.
+    a search decide, so mostly exclusions pay for one.
     """
     t0 = time.perf_counter()
     count = instance.count
@@ -234,13 +230,6 @@ def max_clique(
     full = (1 << count) - 1
     known = _greedy_clique(rrows, full, 0, count)
     bound = _greedy_color_order(full, rrows)[1][-1]
-    if seed is not None and known.bit_count() < bound:
-        seeded = _union(1 << pos[v] for v in _bits(seed()))
-        for v in _bits(seeded):
-            if (rrows[v] | 1 << v) & seeded != seeded:
-                raise ValueError("seed is not a clique of the instance")
-        if seeded.bit_count() > known.bit_count():
-            known = seeded
     if known.bit_count() < bound:
         found = _search(rrows, full, known.bit_count(), bound)
         if found is not None:
@@ -373,66 +362,202 @@ def hopcroft_karp(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
                 augment(u, shortest)
 
 
-def _cover_family(rows: Sequence[int], nbrs: Sequence[int]) -> int:
-    """A pairwise-related family of vertex subsets of a graph, as a mask
-    over the subset bitmasks, from the vertex-cover LP of the unrelated
-    graph H (x ~ y iff y misses N(x), the neighborhood of x).
+def _unrelated_graph(g: Graph) -> tuple[list[int], list[list[int]], list[int], list[bool]]:
+    """The unrelated graph H on the vertex subsets of g: x ~ y iff y misses
+    N(x), so x's H-neighbours are the submasks of ``full & ~N(x)``.
 
-    Shifting members up to strict supersets ends in an up-set of the same
-    size, whose members are related to all their strict supersets: only
-    subsets meeting N(x) or with x | N(x) everything are kept in H. A
-    matching of H's double cover gives a Koenig cover by alternating search
-    from the free left copies; LP value 0 means the left copy is reached and
-    the right one is not. By Nemhauser-Trotter those subsets plus a largest
-    clique of the half-integral kernel are optimal; half the kernel bounds
-    that clique, which stops its search.
+    Labels ascend by H-degree, ties by index: H- and relation degrees add
+    up to 2^n - 1, so this is the dense engine's order, whose greedy classes
+    are tight. Returns (pos, adj, rows, kept): each subset's label, and per
+    label its H-neighbours other than itself as a list and as a mask, and
+    whether it survives shifting (see ``_cover_family``).
     """
-    full = (1 << len(nbrs)) - 1
+    full = (1 << g.vertex_count) - 1
     reach = [0] * (full + 1)  # reach[x]: N(x)
     for x in range(1, full + 1):
         low = x & -x
-        reach[x] = reach[x ^ low] | nbrs[low.bit_length() - 1]
-    kept = [x for x, nx in enumerate(reach) if x & nx or x | nx == full]
-    index = {x: i for i, x in enumerate(kept)}
-    kept_mask = _union(1 << x for x in kept)
-    adj = [[index[y] for y in _bits(kept_mask & ~rows[x] & ~(1 << x))] for x in kept]
-    match_left, match_right = hopcroft_karp(adj)
+        reach[x] = reach[x ^ low] | g.neighbors(low.bit_length() - 1)
+    # x's H-degree: the 2^|free| submasks of its free bits, less x itself if x misses N(x)
+    order = sorted(range(full + 1), key=lambda x: (
+        (1 << g.vertex_count - reach[x].bit_count()) - (x & reach[x] == 0), x))
+    pos = sorted(range(full + 1), key=order.__getitem__)  # the inverse permutation
+    adj = [list(map(pos.__getitem__, submasks(full & ~reach[x]))) for x in order]
+    for v, x in enumerate(order):
+        if not x & reach[x]:
+            adj[v].remove(v)
+    bit = [1 << v for v in range(full + 1)]
+    rows = [_union(map(bit.__getitem__, a)) for a in adj]
+    kept = [x & reach[x] != 0 or x | reach[x] == full for x in order]
+    return pos, adj, rows, kept
+
+
+def _clique_cover(rows: Sequence[int]) -> list[int]:
+    """Greedy H-cliques covering every vertex, as masks: each grows from the
+    lowest uncovered vertex by repeatedly taking the lowest one related in H
+    to all so far. These are the engine's root color classes, and a family
+    takes at most one member of each, so their number bounds its size."""
+    classes = []
+    rest = (1 << len(rows)) - 1
+    while rest:
+        avail, members = rest, 0
+        while avail:
+            low = avail & -avail
+            members |= low
+            avail &= rows[low.bit_length() - 1]
+        rest ^= members
+        classes.append(members)
+    return classes
+
+
+def _related_rows(rows: Sequence[int], cand: int) -> list[int]:
+    """The relation's rows inside ``cand``: distinct vertices outside each
+    other's H-row; zero outside ``cand``."""
+    related = [0] * len(rows)
+    for v in _bits(cand):
+        related[v] = cand & ~(rows[v] | 1 << v)
+    return related
+
+
+def _cover_family(adj: Sequence[Sequence[int]], rows: Sequence[int], kept: Sequence[bool]) -> int:
+    """A largest pairwise-related family, as a mask of H's vertices, from the
+    vertex-cover LP of H.
+
+    Shifting members up to strict supersets ends in an up-set of the same
+    size, whose members are related to all their strict supersets: only
+    subsets meeting N(x) or with x | N(x) everything, ``kept``, need be
+    searched, so the others get no edges. A matching of H's double cover
+    gives a Koenig cover by alternating search from the free left copies; LP
+    value 0 means the left copy is reached and the right one is not. By
+    Nemhauser-Trotter those subsets plus a largest family inside the
+    half-integral kernel are optimal; half the kernel bounds that family,
+    which stops its search.
+    """
+    kept_adj = [list(filter(kept.__getitem__, a)) if k else [] for a, k in zip(adj, kept)]
+    match_left, match_right = hopcroft_karp(kept_adj)
     left_in = [m == -1 for m in match_left]
-    right_in = [False] * len(kept)
+    right_in = [False] * len(adj)
     reached = [u for u, m in enumerate(match_left) if m == -1]
     for u in reached:  # grows while it is walked: alternating breadth-first search
-        for v in adj[u]:
+        for v in kept_adj[u]:
             if not right_in[v]:
                 right_in[v] = True
                 w = match_right[v]  # matched: a free one would end an augmenting path
                 if not left_in[w]:
                     left_in[w] = True
                     reached.append(w)
-    zero = _union(1 << x for x, a, b in zip(kept, left_in, right_in) if a and not b)
-    kernel = [x for x, a, b in zip(kept, left_in, right_in) if a == b]
-    cand = _union(1 << x for x in kernel)
-    clique = _greedy_clique(rows, cand, 0, len(kernel))
-    if clique.bit_count() < len(kernel) // 2:
-        found = _search(rows, cand, clique.bit_count(), len(kernel) // 2)
+    lp = list(zip(kept, left_in, right_in))  # an edgeless vertex has LP value 0
+    zero = _union(1 << v for v, (k, a, b) in enumerate(lp) if k and a and not b)
+    kernel = _union(1 << v for v, (k, a, b) in enumerate(lp) if a == b)
+    half = kernel.bit_count() // 2
+    related = _related_rows(rows, kernel)
+    family = _greedy_clique(related, kernel, 0, half)
+    if family.bit_count() < half:
+        found = _search(related, kernel, family.bit_count(), half)
         if found is not None:
-            clique = _union(1 << v for v in found)
-    return zero | clique
+            family = _union(1 << v for v in found)
+    return zero | family
+
+
+def _repair(rows: Sequence[int], known: int, hit: int, cand: int, need: int) -> int:
+    """A family of up to ``need`` members inside ``cand``, grown from the
+    carried optimum ``known``: its members outside ``hit`` stay, and the
+    lowest vertices related to all members so far are added, taken from the
+    H-neighbours of the dropped ones. No other candidate can join, since the
+    optimum ``known`` leaves none related to all of its members."""
+    dropped = known & hit
+    family = known ^ dropped
+    freed = cand & _union(rows[d] for d in _bits(dropped))
+    avail = _union(1 << w for w in _bits(freed) if not rows[w] & family)
+    have = family.bit_count()
+    while have < need and avail:
+        low = avail & -avail
+        family |= low
+        have += 1
+        avail &= ~(rows[low.bit_length() - 1] | low)
+    return family
 
 
 def _subset_family(g: Graph) -> ExtremalResult:
     """Largest family of vertex subsets of g (elements are the bitmasks),
-    any two distinct ones containing a pair of adjacent vertices; seeded
-    with the vertex-cover family of ``_cover_family``."""
-    nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
-    instance = CliqueInstance.from_neighborhoods(nbrs, range(1 << g.vertex_count))
-    return max_clique(instance, seed=functools.partial(_cover_family, instance.rows, nbrs))
+    any two distinct ones containing a pair of adjacent vertices, found in
+    the unrelated graph H without building the relation itself.
+
+    The size comes from ``_cover_family``. The witness is the lexicographically
+    first optimum: subsets are committed in ascending index order whenever a
+    completion to that size still exists. A largest family is carried along,
+    with a count of live candidates in each class of ``_clique_cover``.
+    Committing x drops x and its live H-neighbours. When x is not in the
+    carried family, the completion is refuted if fewer than the needed
+    number of classes stay live, else repaired from the carried family, and
+    only if both fail decided by an exact search.
+    """
+    t0 = time.perf_counter()
+    pos, adj, rows, kept = _unrelated_graph(g)
+    count = len(pos)
+    classes = _clique_cover(rows)
+    colour = [0] * count
+    for c, members in enumerate(classes):
+        for v in _bits(members):
+            colour[v] = c
+    live = [members.bit_count() for members in classes]
+    live_classes = len(classes)
+    known = _cover_family(adj, rows, kept)  # a carried optimum's members beyond the witness
+    size = known.bit_count()
+    witness: list[int] = []
+    p = (1 << count) - 1  # candidates, in new labels, also as flags
+    alive = bytearray(b"\1") * count
+    for x in range(count):
+        if len(witness) == size:
+            break
+        v = pos[x]
+        if not alive[v]:
+            continue
+        alive[v] = 0
+        hit = [w for w in adj[v] if alive[w]]  # what committing x drops with it
+        hit_mask = rows[v] & p
+        cand = p & ~(hit_mask | 1 << v)
+        need = size - len(witness) - 1
+        emptied = 0
+        for w in [v, *hit]:
+            live[colour[w]] -= 1
+            emptied += live[colour[w]] == 0
+        if known >> v & 1:
+            known ^= 1 << v
+        else:
+            completion = None
+            if live_classes - emptied >= need:
+                completion = _repair(rows, known, hit_mask, cand, need)
+                if completion.bit_count() < need:
+                    found = _search(_related_rows(rows, cand), cand, need - 1, need)
+                    completion = None if found is None else _union(1 << w for w in found)
+            if completion is None:
+                for w in hit:
+                    live[colour[w]] += 1
+                live_classes -= live[colour[v]] == 0
+                p ^= 1 << v
+                continue
+            known = completion
+        witness.append(x)
+        for w in hit:
+            alive[w] = 0
+        p = cand
+        live_classes -= emptied
+    wmask = _union(1 << pos[x] for x in witness)
+    if len(witness) != size or any(rows[pos[x]] & wmask for x in witness):
+        raise AssertionError(f"witness of {len(witness)} is not a family of {size}")
+    for members in classes:
+        if any((rows[v] | 1 << v) & members != members for v in _bits(members)):
+            raise AssertionError("a greedy class is not a clique of H")
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    return ExtremalResult(size, witness, "branch-and-bound", elapsed)
 
 
 def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
     """Largest family of length-n strings, any two distinct ones skewincident.
 
-    Capped at n = 8 (256 elements) unless ``override_cap`` is set; the hard
-    limit of n = 12 keeps the relation within the clique engine's element cap.
+    Capped at n = 8 (256 strings) unless ``override_cap`` is set; the hard
+    limit of n = 12 bounds the unrelated graph H, which holds one 2^n-bit
+    row per string.
     """
     cap = MAX_SUBSET_VERTICES if override_cap else EXACT_M_DEFAULT_CAP
     if not 1 <= n <= cap:

@@ -18,6 +18,7 @@ from skewlab.bitstring import (
     leq,
     skewincident,
     skewincident_bits,
+    submasks,
     support,
     weight,
 )
@@ -263,3 +264,21 @@ def test_all_strings_order_and_count():
     assert [str(x) for x in xs[:3]] == ["000", "001", "010"]
     with pytest.raises(ValueError):
         list(all_strings(0))
+
+
+def test_submasks_ascend_from_low():
+    """Every submask of ``free`` at least ``low``, ascending, including for
+    a ``low`` with bits outside ``free`` or above every submask."""
+    for free in range(64):
+        subs = [y for y in range(64) if y & ~free == 0]
+        for low in range(70):
+            assert list(submasks(free, low)) == [y for y in subs if y >= low], (free, low)
+    assert list(submasks(0)) == [0]
+
+
+def test_submasks_are_the_non_skewincident_strings():
+    for n in range(1, 8):
+        full = (1 << n) - 1
+        for x in range(1 << n):
+            expected = [y for y in range(1 << n) if not skewincident_bits(x, y)]
+            assert list(submasks(full & ~influence_bits(x, n))) == expected, (n, x)

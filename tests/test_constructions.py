@@ -10,9 +10,11 @@ from skewlab.bitstring import (
     LengthMismatchError,
     comparable,
     gamma,
+    gamma_bits,
     is_fibonacci,
     skewincident_bits,
 )
+from skewlab import constructions
 from skewlab.constructions import (
     NotPairwiseSkewincidentError,
     disjointness_counterexample,
@@ -143,6 +145,22 @@ def test_disjointness_scan():
     for n in (0, 13):
         with pytest.raises(ValueError, match=f"disjointness scan is capped at n = 12, got {n}"):
             disjointness_counterexample(n)
+
+
+def test_disjointness_scan_finds_the_first_pair(monkeypatch):
+    """With a weakened argument that fails (gamma sum above 2n - 2, for x of
+    weight two or more), the submask walk returns the same first pair as a
+    scan over all x <= y."""
+    def weakened(x: int, y: int, gamma_sum: int, n: int) -> bool:
+        return x.bit_count() < 2 or gamma_sum <= 2 * n - 2 or skewincident_bits(x, y)
+
+    monkeypatch.setattr(constructions, "_gamma_sum_implication", weakened)
+    for n in range(1, 10):
+        first = next(((BitString(n, x), BitString(n, y))
+                      for x in range(1 << n) for y in range(x, 1 << n)
+                      if not weakened(x, y, gamma_bits(x, n) + gamma_bits(y, n), n)), None)
+        assert disjointness_counterexample(n) == first, n
+        assert (first is None) == (n < 3), n
 
 
 def test_greedy_extension_grows_strictly():

@@ -215,21 +215,21 @@ def test_splitmix_reference_vector():
     assert tuple(gen.next_uint64() for _ in range(3)) == SPLITMIX64_SEED0
 
 
-def test_splitmix_determinism_and_split():
+def test_splitmix_determinism_and_seed_range():
     a, b = SplitMix64(99), SplitMix64(99)
     assert [a.next_uint64() for _ in range(10)] == [b.next_uint64() for _ in range(10)]
-    parent = SplitMix64(5)
-    child = parent.split()
-    # the child continues from the parent's first output as its seed
-    reference = SplitMix64(SplitMix64(5).next_uint64())
-    assert child.next_uint64() == reference.next_uint64()
-    assert SplitMix64(1).next_bits(8) < 256
-    with pytest.raises(ValueError):
-        SplitMix64(1).next_bits(65)
+    # the class and the sampler accept the same seeds, through one check
+    for bad in (-1, 2 ** 64, 2 ** 64 + 5):
+        with pytest.raises(ValueError, match="seed must be in"):
+            SplitMix64(bad)
+        with pytest.raises(ValueError, match="seed must be in"):
+            monte_carlo_tail(3, 10, bad)
+    assert SplitMix64(2 ** 64 - 1).next_uint64() == SplitMix64(2 ** 64 - 1).next_uint64()
 
 
 def test_monte_carlo_matches_generator_class():
-    """The inlined sampling loop must consume exactly the SplitMix64 stream."""
+    """The lane-packed sampler draws exactly the stream of the generator
+    class: its estimate equals a draw-by-draw loop over ``SplitMix64``."""
     n, samples, seed = 12, 500, 77
     gen = SplitMix64(seed)
     mask = (1 << n) - 1

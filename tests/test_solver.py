@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from skewlab import solver
-from skewlab.bitstring import influence_bits, skewincident, skewincident_bits
+from skewlab.bitstring import Family, influence_bits, skewincident, skewincident_bits
+from skewlab.constructions import verify_pairwise_skewincident
+from skewlab.counting import fibonacci_count
 from skewlab.graphs import Graph, all_loops, complete_multipartite, path, skew_alphabet
 from skewlab.solver import (
     CliqueInstance,
@@ -171,43 +173,50 @@ def test_recursion_limit_untouched(monkeypatch):
 
 
 def test_search_work_is_pinned(monkeypatch):
-    """Colorings made and vertices colored over the size search, the seed's
-    kernel search and the witness pass together; a pruning change, a
-    completion that stops being repaired, or a seed that stops meeting the
-    root bound shows up here as a diff. Up to n = 8 greedy already meets the
-    root bound. Without the seed, path(9) took 423 colorings of 91,316
-    vertices and path(10) 873 of 389,832."""
+    """Colorings made, vertices colored and repairs tried by subset families;
+    a kernel that greedy stops filling, a repair that stops sufficing or a
+    refutation that stops deciding shows up here as a diff. On the dense
+    engine, with the vertex-cover seed, these cases took 8 colorings of 330
+    vertices, 16 of 2,949, 2 of 64, 2 of 1,024, 29 of 11,612 and 63 of
+    54,366; in H no search runs at all."""
     colored = []
+    repairs = []
     color_order = solver._greedy_color_order
+    repair = solver._repair
 
     def counted(p: int, rows):
         colored.append(p.bit_count())
         return color_order(p, rows)
 
+    def counted_repair(rows, known, hit, cand, need):
+        repairs.append(need)
+        return repair(rows, known, hit, cand, need)
+
     monkeypatch.setattr(solver, "_greedy_color_order", counted)
+    monkeypatch.setattr(solver, "_repair", counted_repair)
     cases = [
-        (exact_M, 6, 8, 330),
-        (exact_M, 8, 16, 2949),
-        (exact_MG, complete_multipartite((2, 2, 2)), 2, 64),
-        (exact_MG, all_loops(10), 2, 1024),
-        (exact_MG, path(9), 29, 11612),
-        (exact_MG, path(10), 63, 54366),
+        (exact_M, 6, 4),
+        (exact_M, 8, 8),
+        (exact_MG, complete_multipartite((2, 2, 2)), 3),
+        (exact_MG, all_loops(10), 1),
+        (exact_MG, path(9), 12),
+        (exact_MG, path(10), 12),
     ]
-    for extremal, arg, calls, vertices in cases:
+    for extremal, arg, tried in cases:
         colored.clear()
+        repairs.clear()
         extremal(arg)
-        assert (len(colored), sum(colored)) == (calls, vertices), (extremal.__name__, arg)
+        assert (len(colored), sum(colored), len(repairs)) == (0, 0, tried), (extremal.__name__, arg)
 
 
-def built_instance(monkeypatch, extremal, *args) -> tuple[CliqueInstance, object]:
-    """The instance an extremal function hands to the clique engine, and
-    the seed it passes along."""
+def built_instance(monkeypatch, extremal, *args) -> CliqueInstance:
+    """The instance an extremal function hands to the clique engine."""
     seen = []
     engine = solver.max_clique
 
-    def capture(instance, seed=None):
-        seen.append((instance, seed))
-        return engine(instance, seed)
+    def capture(instance):
+        seen.append(instance)
+        return engine(instance)
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "max_clique", capture)
@@ -216,14 +225,27 @@ def built_instance(monkeypatch, extremal, *args) -> tuple[CliqueInstance, object
     return seen[0]
 
 
-def test_exact_M_relation_is_skewincidence(monkeypatch):
+def unrelated_rows(g: Graph) -> list[int]:
+    """The rows of H, the unrelated graph of g's vertex subsets, relabelled
+    back to subset indices."""
+    pos, adj, _, _ = solver._unrelated_graph(g)
+    order = sorted(range(len(pos)), key=pos.__getitem__)
+    return [sum(1 << order[w] for w in adj[pos[x]]) for x in range(len(pos))]
+
+
+def complement_rows(instance: CliqueInstance) -> list[int]:
+    everything = (1 << instance.count) - 1
+    return [everything & ~(row | 1 << i) for i, row in enumerate(instance.rows)]
+
+
+def test_exact_M_relation_is_skewincidence():
+    """exact_M builds no relation; H, which it searches, is its complement."""
     for n in range(1, 9):
-        inst, seed = built_instance(monkeypatch, exact_M, n)
-        assert inst.rows == CliqueInstance.from_relation(1 << n, skewincident_bits).rows, n
-        assert seed is not None
+        instance = CliqueInstance.from_relation(1 << n, skewincident_bits)
+        assert unrelated_rows(path(n)) == complement_rows(instance), n
 
 
-def test_exact_MG_relation_is_pairwise_neighbor(monkeypatch):
+def test_exact_MG_relation_is_pairwise_neighbor():
     rng = random.Random(21)
     for trial in range(12):
         vertices = 1 + trial % 6
@@ -237,9 +259,17 @@ def test_exact_MG_relation_is_pairwise_neighbor(monkeypatch):
                 for v in range(vertices) if b >> v & 1
             )
 
-        inst, seed = built_instance(monkeypatch, exact_MG, g)
-        assert seed is not None
-        assert inst.rows == CliqueInstance.from_relation(1 << vertices, neighbor_pair).rows, g
+        instance = CliqueInstance.from_relation(1 << vertices, neighbor_pair)
+        assert unrelated_rows(g) == complement_rows(instance), g
+
+
+def test_unrelated_graph_of_the_path_has_f_n_squared_pairs():
+    """x and y are not skewincident iff both interleavings x1 y2 x3 ... and
+    y1 x2 y3 ... have no adjacent ones, so H on P_n has f_n^2 ordered pairs,
+    the f_n strings without adjacent ones as self-pairs included."""
+    for n in range(1, 13):
+        _, adj, _, _ = solver._unrelated_graph(path(n))
+        assert sum(map(len, adj)) + fibonacci_count(n) == fibonacci_count(n) ** 2, n
 
 
 def test_exact_attractive_relation_is_attraction(monkeypatch):
@@ -254,10 +284,9 @@ def test_exact_attractive_relation_is_attraction(monkeypatch):
                     a, b = maps[ia], maps[ib]
                     return any(g_graph.adjacent(a[i], b[j]) for i, j in fpairs)
 
-                inst, seed = built_instance(monkeypatch, exact_attractive, f_graph, g_graph, n)
+                inst = built_instance(monkeypatch, exact_attractive, f_graph, g_graph, n)
                 expected = CliqueInstance.from_relation(len(maps), attractive)
                 assert inst.rows == expected.rows, (n, f_graph, g_graph)
-                assert seed is None  # one-hot codes are not closed under supersets
 
 
 def test_exact_M_values():
@@ -339,17 +368,10 @@ def unseeded_subset_family(g: Graph):
     return max_clique(CliqueInstance.from_neighborhoods(nbrs, range(1 << g.vertex_count)))
 
 
-def test_seeded_subset_family_matches_unseeded_engine(monkeypatch):
-    """Size and witness of ``exact_MG`` against the engine without a seed,
+def test_seeded_subset_family_matches_unseeded_engine():
+    """Size and witness of ``exact_MG``, whose witness pass starts from the
+    vertex-cover family in H, against the dense engine's own size search,
     on random graphs with loops, K_{3,3,3}, paths, all-loops and edgeless."""
-    seeded = []
-    cover = solver._cover_family
-
-    def counted(rows, nbrs):
-        seeded.append(len(nbrs))
-        return cover(rows, nbrs)
-
-    monkeypatch.setattr(solver, "_cover_family", counted)
     rng = random.Random(40)
     graphs = []
     for _ in range(40):
@@ -364,26 +386,83 @@ def test_seeded_subset_family_matches_unseeded_engine(monkeypatch):
         ref = unseeded_subset_family(g)
         assert res.size == ref.size, g
         assert res.witness == [tuple(solver._bits(m)) for m in ref.witness], g
-    # greedy falls short of the root bound, so the seed is built, on six of
-    # the random graphs and on path(9) and path(10)
-    assert len(seeded) >= 8, seeded
-    seeded.clear()
-    exact_MG(all_loops(10))
-    assert seeded == []  # greedy meets the root bound: H is never built
 
 
-def test_seed_must_be_a_clique():
-    cycle5 = CliqueInstance.from_relation(5, lambda i, j: (i - j) % 5 in (1, 4))
-    with pytest.raises(ValueError, match="not a clique"):
-        max_clique(cycle5, seed=lambda: 0b00101)  # 0 and 2 are not related
-    res = max_clique(cycle5, seed=lambda: 0b11000)
-    assert (res.size, res.witness) == (2, [0, 1])  # the witness ignores the seed
+def class_cover_certificate(g: Graph, size: int) -> None:
+    """The upper certificate of the subset route, checked without it: its
+    greedy classes partition all subsets, and any two distinct members of a
+    class contain no adjacent pair, so a family takes at most one member of
+    each; there are exactly ``size`` classes."""
+    pos, _, rows, _ = solver._unrelated_graph(g)
+    order = sorted(range(len(pos)), key=pos.__getitem__)
+    classes = [[order[v] for v in solver._bits(c)] for c in solver._clique_cover(rows)]
+    assert sorted(x for members in classes for x in members) == list(range(len(pos)))
+    nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
+    for members in classes:
+        for a, b in itertools.combinations(members, 2):
+            assert not any(nbrs[u] & b for u in solver._bits(a)), (g, a, b)
+    assert len(classes) == size, g
 
-    def refuse():
-        raise AssertionError("seed called although greedy meets the root bound")
 
-    triangle = CliqueInstance.from_relation(3, lambda i, j: True)
-    assert max_clique(triangle, seed=refuse).size == 3
+def test_class_cover_meets_the_size():
+    for n in range(1, 13):
+        class_cover_certificate(path(n), MAX_FAMILY[n])
+    for g, size in ((path(9), 395), (all_loops(10), 512), (complete_multipartite((3, 3, 3)), 493)):
+        class_cover_certificate(g, size)
+        assert exact_MG(g).size == size
+
+
+def test_forced_fallback_keeps_the_witnesses(monkeypatch):
+    """With every repair giving up, each completion the class count does not
+    refute goes to the exact search, and the witnesses stay the same."""
+    expected = exact_MG(path(9)).witness
+    repairs = []
+    searches = []
+    search = solver._search
+
+    def give_up(rows, known, hit, cand, need):
+        repairs.append(need)
+        return 0
+
+    def counted(rows, p, floor, stop):
+        searches.append(stop)
+        return search(rows, p, floor, stop)
+
+    monkeypatch.setattr(solver, "_repair", give_up)
+    monkeypatch.setattr(solver, "_search", counted)
+    for n in range(1, 10):
+        repairs.clear()
+        searches.clear()
+        witness = " ".join(str(w) for w in exact_M(n, override_cap=True).witness)
+        assert hashlib.sha256(witness.encode()).hexdigest() == EXACT_M_WITNESS_SHA256[n], n
+        assert searches == [need for need in repairs if need], n
+    repairs.clear()
+    searches.clear()
+    assert exact_MG(path(9)).witness == expected
+    assert searches == [need for need in repairs if need] and len(searches) >= 12
+
+
+def test_kernel_search_without_greedy(monkeypatch):
+    """The Nemhauser-Trotter kernel's family comes from the exact search
+    when greedy adds nothing, with the same sizes and witnesses."""
+    graphs = [path(n) for n in range(1, 10)] + [complete_multipartite((2, 2, 2))]
+    expected = [exact_MG(g) for g in graphs]
+    monkeypatch.setattr(solver, "_greedy_clique", lambda rows, cand, kept, need: kept)
+    for g, ref in zip(graphs, expected):
+        res = exact_MG(g)
+        assert (res.size, res.witness) == (ref.size, ref.witness), g
+
+
+def test_subset_route_beyond_the_cap():
+    """M(13) and M(14) from the subset route with both certificates: the
+    witness is pairwise skewincident, and as many greedy classes of
+    pairwise non-skewincident strings cover all strings. exact_M stays
+    capped at 12."""
+    for n, size in ((13, 6826), (14, 13855)):
+        res = solver._subset_family(path(n))
+        assert res.size == len(res.witness) == size
+        assert verify_pairwise_skewincident(Family(n, tuple(res.witness))) is None
+        class_cover_certificate(path(n), size)
 
 
 def test_exact_MG_small_graphs():

@@ -9,17 +9,19 @@ subset families; the product F x G with one-hot (position, value) codes
 gives pairwise-attractive mappings. Self-relation never matters: families
 are constrained on distinct pairs.
 
-Mappings (and the Sperner oracle) go to one dense branch-and-bound engine
-over bitset rows, one iterative, explicit-stack search serving both the
-size search and the witness pass. Subset families never build the dense
-relation: they work in its sparse complement, the unrelated graph H (x ~ y
-iff y misses N(x)). The size comes from the vertex-cover LP of H (a
-shifting lemma, one Hopcroft-Karp matching on H's bipartite double cover,
-then an exact search of the Nemhauser-Trotter kernel); greedy cliques of H
-cover every subset and bound any family by their number; and the
-lexicographically first witness is decided step by step by counting live
-classes, repairing a carried optimum, or else the exact search. The same
-Hopcroft-Karp function serves the Sperner layer's cover-edge matching.
+There is one engine, ``_family``, and it works in the relation's
+complement, the unrelated graph H, which is sparse for the families here.
+Two builders feed it: subset families read H off the submasks of each
+subset's non-neighbourhood and leave the subsets a shifting lemma rules out
+to the witness pass; ``max_clique`` (mappings and the Sperner oracle)
+complements dense bitset rows. The size comes from the
+vertex-cover LP of H (one Hopcroft-Karp matching on H's bipartite double
+cover, then an exact search of the Nemhauser-Trotter kernel); greedy
+cliques of H cover every element and bound any family by their number; and
+the lexicographically first witness is decided step by step by counting
+live classes, repairing a carried optimum, or else an iterative
+branch-and-bound search. The same Hopcroft-Karp function serves the
+Sperner layer's cover-edge matching.
 """
 
 from __future__ import annotations
@@ -59,9 +61,8 @@ class CliqueInstance:
     """A symmetric relation over element indices, as bitset adjacency rows.
 
     Symmetry (bit j of rows[i] iff bit i of rows[j]) is a precondition that
-    is not checked here, since a full check costs O(count^2) bits;
-    ``max_clique`` re-checks its witness against the rows in both directions
-    and raises ValueError when they disagree.
+    is not checked here; ``max_clique`` checks it on every unrelated pair as
+    it builds the complement and raises ValueError when it fails.
     """
 
     count: int
@@ -141,39 +142,17 @@ def _greedy_color_order(p: int, rows: Sequence[int]) -> tuple[list[int], list[in
     return order, bounds
 
 
-def _greedy_clique(rows: Sequence[int], cand: int, kept: int, need: int) -> int:
-    """The clique ``kept`` inside candidate set ``cand``, grown by repeatedly
-    taking the lowest common candidate until it has ``need`` members or none
-    is left; a mask. ``kept`` may not already exceed ``need``."""
-    have = kept.bit_count()
-    if have > need:
-        raise AssertionError(f"a clique of {have} members where {need} is the optimum")
-    if have < need:  # narrowing to kept's common candidates is needed only to grow
-        for v in _bits(kept):
-            cand &= rows[v]
+def _greedy_clique(rows: Sequence[int], cand: int, need: int) -> int:
+    """A clique inside candidate set ``cand``, grown by repeatedly taking the
+    lowest common candidate until it has ``need`` members or none is left;
+    a mask."""
+    clique = have = 0
     while have < need and cand:
         low = cand & -cand
-        kept |= low
+        clique |= low
         have += 1
         cand &= rows[low.bit_length() - 1]
-    return kept
-
-
-def _degree_order(rows: Sequence[int], count: int) -> tuple[list[int], list[int], list[int]]:
-    """Relabel elements by descending degree (ties by index); the tighter
-    colorings this yields drive all the pruning below.
-
-    New bit j of a row is old bit order[j]. A row's binary literal lists
-    bits count-1 down to 0, so one permutation of the literal relabels it.
-    """
-    order = sorted(range(count), key=lambda v: (-rows[v].bit_count(), v))
-    pos = [0] * count
-    for i, v in enumerate(order):
-        pos[v] = i
-    permute = operator.itemgetter(*[count - 1 - v for v in reversed(order)])
-    literal = f"0{count}b"
-    rrows = [int("".join(permute(format(rows[v], literal))), 2) for v in order]
-    return order, pos, rrows
+    return clique
 
 
 def _search(rrows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | None:
@@ -209,58 +188,6 @@ def _search(rrows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | 
         else:
             clique.pop()
     return best
-
-
-def max_clique(instance: CliqueInstance) -> ExtremalResult:
-    """Exact maximum set of pairwise-related elements.
-
-    The size search starts from a greedy clique and runs only while it falls
-    short of the root coloring bound.
-
-    The witness is the lexicographically first optimum: after the size is
-    fixed, elements are committed in ascending index order whenever a
-    completion to that size still exists. An optimum is carried along, and
-    each completion is first repaired from it: its members that remain
-    candidates are kept and grown greedily. Only when that falls short does
-    a search decide, so mostly exclusions pay for one.
-    """
-    t0 = time.perf_counter()
-    count = instance.count
-    _, pos, rrows = _degree_order(instance.rows, count)
-    full = (1 << count) - 1
-    known = _greedy_clique(rrows, full, 0, count)
-    bound = _greedy_color_order(full, rrows)[1][-1]
-    if known.bit_count() < bound:
-        found = _search(rrows, full, known.bit_count(), bound)
-        if found is not None:
-            known = _union(1 << v for v in found)
-    size = known.bit_count()  # known: a carried optimum's members beyond the witness
-    witness: list[int] = []
-    p = full  # candidates, in reordered labels
-    for i in range(count):
-        if len(witness) == size:
-            break
-        ri = pos[i]
-        if not p >> ri & 1:
-            continue
-        cand = p & rrows[ri]
-        need = size - len(witness) - 1
-        completion = _greedy_clique(rrows, cand, known & cand, need)
-        if completion.bit_count() < need:
-            found = _search(rrows, cand, need - 1, need)
-            completion = None if found is None else _union(1 << v for v in found)
-        if completion is not None:
-            witness.append(i)
-            p = cand
-            known = completion
-        else:
-            p &= ~(1 << ri)
-    wmask = sum(1 << w for w in witness)
-    for w in witness:
-        if (instance.rows[w] | 1 << w) & wmask != wmask:
-            raise ValueError(f"relation is not symmetric: row {w} misses a witness member")
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return ExtremalResult(size, witness, "branch-and-bound", elapsed)
 
 
 def enumerate_max_clique(instance: CliqueInstance) -> ExtremalResult:
@@ -362,14 +289,13 @@ def hopcroft_karp(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
                 augment(u, shortest)
 
 
-def _unrelated_graph(g: Graph) -> tuple[list[int], list[list[int]], list[int], list[bool]]:
+def _unrelated_graph(g: Graph) -> tuple[list[int], list[list[int]], list[bool]]:
     """The unrelated graph H on the vertex subsets of g: x ~ y iff y misses
     N(x), so x's H-neighbours are the submasks of ``full & ~N(x)``.
 
-    Labels ascend by H-degree, ties by index: H- and relation degrees add
-    up to 2^n - 1, so this is the dense engine's order, whose greedy classes
-    are tight. Returns (pos, adj, rows, kept): each subset's label, and per
-    label its H-neighbours other than itself as a list and as a mask, and
+    Labels ascend by H-degree, ties by index, which is ``max_clique``'s
+    order of descending relation degree. Returns (pos, adj, kept): each
+    subset's label, and per label its H-neighbours other than itself and
     whether it survives shifting (see ``_cover_family``).
     """
     full = (1 << g.vertex_count) - 1
@@ -385,10 +311,8 @@ def _unrelated_graph(g: Graph) -> tuple[list[int], list[list[int]], list[int], l
     for v, x in enumerate(order):
         if not x & reach[x]:
             adj[v].remove(v)
-    bit = [1 << v for v in range(full + 1)]
-    rows = [_union(map(bit.__getitem__, a)) for a in adj]
     kept = [x & reach[x] != 0 or x | reach[x] == full for x in order]
-    return pos, adj, rows, kept
+    return pos, adj, kept
 
 
 def _clique_cover(rows: Sequence[int]) -> list[int]:
@@ -422,17 +346,19 @@ def _cover_family(adj: Sequence[Sequence[int]], rows: Sequence[int], kept: Seque
     """A largest pairwise-related family, as a mask of H's vertices, from the
     vertex-cover LP of H.
 
-    Shifting members up to strict supersets ends in an up-set of the same
-    size, whose members are related to all their strict supersets: only
-    subsets meeting N(x) or with x | N(x) everything, ``kept``, need be
-    searched, so the others get no edges. A matching of H's double cover
+    Only the ``kept`` vertices are searched, so the others get no edges. For
+    subset families shifting members up to strict supersets ends in an
+    up-set of the same size, whose members are related to all their strict
+    supersets, so only subsets meeting N(x) or with x | N(x) everything are
+    kept; ``max_clique`` keeps every element. A matching of H's double cover
     gives a Koenig cover by alternating search from the free left copies; LP
     value 0 means the left copy is reached and the right one is not. By
-    Nemhauser-Trotter those subsets plus a largest family inside the
+    Nemhauser-Trotter those vertices plus a largest family inside the
     half-integral kernel are optimal; half the kernel bounds that family,
     which stops its search.
     """
-    kept_adj = [list(filter(kept.__getitem__, a)) if k else [] for a, k in zip(adj, kept)]
+    kept_adj = adj if all(kept) else [
+        list(filter(kept.__getitem__, a)) if k else [] for a, k in zip(adj, kept)]
     match_left, match_right = hopcroft_karp(kept_adj)
     left_in = [m == -1 for m in match_left]
     right_in = [False] * len(adj)
@@ -450,7 +376,7 @@ def _cover_family(adj: Sequence[Sequence[int]], rows: Sequence[int], kept: Seque
     kernel = _union(1 << v for v, (k, a, b) in enumerate(lp) if a == b)
     half = kernel.bit_count() // 2
     related = _related_rows(rows, kernel)
-    family = _greedy_clique(related, kernel, 0, half)
+    family = _greedy_clique(related, kernel, half)
     if family.bit_count() < half:
         found = _search(related, kernel, family.bit_count(), half)
         if found is not None:
@@ -477,13 +403,15 @@ def _repair(rows: Sequence[int], known: int, hit: int, cand: int, need: int) -> 
     return family
 
 
-def _subset_family(g: Graph) -> ExtremalResult:
-    """Largest family of vertex subsets of g (elements are the bitmasks),
-    any two distinct ones containing a pair of adjacent vertices, found in
-    the unrelated graph H without building the relation itself.
+def _family(pos: Sequence[int], adj: Sequence[Sequence[int]],
+            kept: Sequence[bool]) -> tuple[int, list[int]]:
+    """Size and lexicographically first witness of a largest family: a set
+    of element indices, no two of them adjacent in the unrelated graph H.
 
-    The size comes from ``_cover_family``. The witness is the lexicographically
-    first optimum: subsets are committed in ascending index order whenever a
+    Element x has label pos[x]; adj[v] lists label v's H-neighbours, other
+    than v, and kept[v] whether the size search needs it. The size comes
+    from ``_cover_family``. The witness is the lexicographically first
+    optimum: elements are committed in ascending index order whenever a
     completion to that size still exists. A largest family is carried along,
     with a count of live candidates in each class of ``_clique_cover``.
     Committing x drops x and its live H-neighbours. When x is not in the
@@ -491,8 +419,7 @@ def _subset_family(g: Graph) -> ExtremalResult:
     number of classes stay live, else repaired from the carried family, and
     only if both fail decided by an exact search.
     """
-    t0 = time.perf_counter()
-    pos, adj, rows, kept = _unrelated_graph(g)
+    rows = [_union(map((1).__lshift__, a)) for a in adj]
     count = len(pos)
     classes = _clique_cover(rows)
     colour = [0] * count
@@ -548,6 +475,40 @@ def _subset_family(g: Graph) -> ExtremalResult:
     for members in classes:
         if any((rows[v] | 1 << v) & members != members for v in _bits(members)):
             raise AssertionError("a greedy class is not a clique of H")
+    return size, witness
+
+
+def _subset_family(g: Graph) -> ExtremalResult:
+    """Largest family of vertex subsets of g (elements are the bitmasks),
+    any two distinct ones containing a pair of adjacent vertices, found in
+    the unrelated graph H without building the relation itself."""
+    t0 = time.perf_counter()
+    size, witness = _family(*_unrelated_graph(g))
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    return ExtremalResult(size, witness, "branch-and-bound", elapsed)
+
+
+def max_clique(instance: CliqueInstance) -> ExtremalResult:
+    """Exact maximum set of pairwise-related elements, the lexicographically
+    first one, found by ``_family`` in the complement of the rows.
+
+    Labels follow descending relation degree, ties by index, and every
+    element is kept. Each element's unrelated elements are read off its
+    complemented row; one of them relating back to it means the rows are
+    not symmetric, which raises ValueError.
+    """
+    t0 = time.perf_counter()
+    count, rows = instance.count, instance.rows
+    order = sorted(range(count), key=lambda v: (-rows[v].bit_count(), v))
+    pos = sorted(range(count), key=order.__getitem__)  # the inverse permutation
+    full = (1 << count) - 1
+    adj = []
+    for v in order:
+        unrelated = list(_bits(full & ~(rows[v] | 1 << v)))
+        if any(rows[w] >> v & 1 for w in unrelated):
+            raise ValueError(f"relation is not symmetric: row {v} misses an element relating to it")
+        adj.append(list(map(pos.__getitem__, unrelated)))
+    size, witness = _family(pos, adj, [True] * count)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return ExtremalResult(size, witness, "branch-and-bound", elapsed)
 

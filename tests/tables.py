@@ -50,6 +50,20 @@ MAX_FAMILY = {
 
 MAX_FAMILY_WITNESS_3 = {"001", "010", "011", "110", "111"}
 
+# exact_attractive(F, G, n) on (position graph, alphabet graph, n), as
+# (size, SHA-256 of the space-joined witness, each mapping's values as
+# digits), recorded from the dense branch-and-bound engine (degree relabel,
+# size search from the greedy floor, repair-first witness pass) before
+# every clique question moved to the unrelated graph H
+ATTRACTIVE_WITNESS_SHA256 = {
+    ("path:7", "path:3", 7):
+        (2052, "0336b5a3908ff7cb660ca1cc27fb94cdee52c3cdb68f0e3813f1d18758e76e2b"),
+    ("path:6", "multipartite:1,1,1", 6):
+        (726, "ffc89fc0aa624f4fd3b9bfb727928aa80cbd34772dad3a15738d7427bbbec132"),
+    ("all-loops:5", "multipartite:2,1", 5):
+        (32, "5b4de02256c0fb926be05e04b799f60f5c5c6765cdd9fc944cc94833ccf15205"),
+}
+
 # maximum antichain sizes among no-adjacent-ones strings; n <= 10 confirmed
 # by the independent clique-over-incomparability route
 ANTICHAIN_MAX = {

@@ -24,7 +24,7 @@ from skewlab.solver import (
     result_to_json,
 )
 from skewlab.report import sandwich_check
-from tables import MAX_FAMILY, MAX_FAMILY_WITNESS_3
+from tables import ATTRACTIVE_WITNESS_SHA256, MAX_FAMILY, MAX_FAMILY_WITNESS_3
 
 
 def random_instance(count: int, density: float, seed: int) -> CliqueInstance:
@@ -106,14 +106,14 @@ def test_witness_is_valid_and_lex_first(monkeypatch):
     completion by growing what is left of the carried optimum, which the
     carried optimum alone would not answer."""
     grown = []
-    greedy = solver._greedy_clique
+    repair = solver._repair
 
-    def counted(rows, cand, kept, need):
-        clique = greedy(rows, cand, kept, need)
-        grown.append(clique.bit_count() == need and clique != kept)
-        return clique
+    def counted(rows, known, hit, cand, need):
+        family = repair(rows, known, hit, cand, need)
+        grown.append(family.bit_count() == need)
+        return family
 
-    monkeypatch.setattr(solver, "_greedy_clique", counted)
+    monkeypatch.setattr(solver, "_repair", counted)
     small = [(9, 0.4, 11), (10, 0.6, 12), (11, 0.8, 13), (12, 0.5, 14)]
     large = [(16, 0.7, 17), (17, 0.8, 17), (18, 0.6, 15), (19, 0.8, 16), (20, 0.5, 15)]
     for count, density, seed in small + large:
@@ -126,15 +126,7 @@ def test_witness_is_valid_and_lex_first(monkeypatch):
         optima = all_maximum_cliques(inst)
         assert res.size == len(optima[0])
         assert res.witness == min(optima)
-        assert count < 16 or any(grown[1:]), (count, density, seed)  # [0] seeds the size
-
-
-def test_greedy_clique_refuses_a_kept_clique_above_need():
-    # a carried clique larger than the completion it repairs would beat the optimum
-    triangle = CliqueInstance.from_relation(3, lambda i, j: True)
-    assert solver._greedy_clique(triangle.rows, 0b110, 0b010, 2) == 0b110
-    with pytest.raises(AssertionError, match="optimum"):
-        solver._greedy_clique(triangle.rows, 0b110, 0b110, 1)
+        assert count < 16 or any(grown), (count, density, seed)
 
 
 def test_determinism():
@@ -143,22 +135,6 @@ def test_determinism():
     for _ in range(3):
         again = max_clique(inst)
         assert (again.size, again.witness) == (first.size, first.witness)
-
-
-def test_degree_order_matches_naive_relabel():
-    cases = [(1, 0.5, 0), (9, 0.4, 31), (23, 0.3, 32), (40, 0.6, 33), (70, 0.1, 34)]
-    for count, density, seed in cases:
-        inst = random_instance(count, density, seed)
-        order, pos, rrows = solver._degree_order(inst.rows, count)
-        assert sorted(order) == list(range(count))
-        assert all(pos[v] == i for i, v in enumerate(order))
-        degree = [sum(inst.related(v, u) for u in range(count)) for v in range(count)]
-        keys = [(-degree[v], v) for v in order]
-        assert keys == sorted(keys)
-        for i in range(count):
-            assert not rrows[i] >> i & 1
-            for j in range(count):
-                assert rrows[i] >> j & 1 == inst.rows[order[i]] >> order[j] & 1, (seed, i, j)
 
 
 def test_recursion_limit_untouched(monkeypatch):
@@ -175,10 +151,7 @@ def test_recursion_limit_untouched(monkeypatch):
 def test_search_work_is_pinned(monkeypatch):
     """Colorings made, vertices colored and repairs tried by subset families;
     a kernel that greedy stops filling, a repair that stops sufficing or a
-    refutation that stops deciding shows up here as a diff. On the dense
-    engine, with the vertex-cover seed, these cases took 8 colorings of 330
-    vertices, 16 of 2,949, 2 of 64, 2 of 1,024, 29 of 11,612 and 63 of
-    54,366; in H no search runs at all."""
+    refutation that stops deciding shows up here as a diff."""
     colored = []
     repairs = []
     color_order = solver._greedy_color_order
@@ -228,7 +201,7 @@ def built_instance(monkeypatch, extremal, *args) -> CliqueInstance:
 def unrelated_rows(g: Graph) -> list[int]:
     """The rows of H, the unrelated graph of g's vertex subsets, relabelled
     back to subset indices."""
-    pos, adj, _, _ = solver._unrelated_graph(g)
+    pos, adj, _ = solver._unrelated_graph(g)
     order = sorted(range(len(pos)), key=pos.__getitem__)
     return [sum(1 << order[w] for w in adj[pos[x]]) for x in range(len(pos))]
 
@@ -268,7 +241,7 @@ def test_unrelated_graph_of_the_path_has_f_n_squared_pairs():
     y1 x2 y3 ... have no adjacent ones, so H on P_n has f_n^2 ordered pairs,
     the f_n strings without adjacent ones as self-pairs included."""
     for n in range(1, 13):
-        _, adj, _, _ = solver._unrelated_graph(path(n))
+        _, adj, _ = solver._unrelated_graph(path(n))
         assert sum(map(len, adj)) + fibonacci_count(n) == fibonacci_count(n) ** 2, n
 
 
@@ -363,15 +336,18 @@ def test_exact_M_cap_and_override():
 
 
 def unseeded_subset_family(g: Graph):
-    """The subset-family optimum from the clique engine's own size search."""
+    """The subset-family optimum from ``max_clique`` on the relation's dense
+    rows, whose H is their complement, with no shifting."""
     nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
     return max_clique(CliqueInstance.from_neighborhoods(nbrs, range(1 << g.vertex_count)))
 
 
 def test_seeded_subset_family_matches_unseeded_engine():
-    """Size and witness of ``exact_MG``, whose witness pass starts from the
-    vertex-cover family in H, against the dense engine's own size search,
-    on random graphs with loops, K_{3,3,3}, paths, all-loops and edgeless."""
+    """Size and witness of ``exact_MG`` against ``max_clique`` on the same
+    relation: two builds of H, one from submask walks with the shifted
+    subsets left out of the size search, one by complementing dense rows
+    with every subset kept. On random graphs with loops, K_{3,3,3}, paths,
+    all-loops and edgeless."""
     rng = random.Random(40)
     graphs = []
     for _ in range(40):
@@ -393,8 +369,9 @@ def class_cover_certificate(g: Graph, size: int) -> None:
     greedy classes partition all subsets, and any two distinct members of a
     class contain no adjacent pair, so a family takes at most one member of
     each; there are exactly ``size`` classes."""
-    pos, _, rows, _ = solver._unrelated_graph(g)
+    pos, adj, _ = solver._unrelated_graph(g)
     order = sorted(range(len(pos)), key=pos.__getitem__)
+    rows = [sum(1 << w for w in a) for a in adj]
     classes = [[order[v] for v in solver._bits(c)] for c in solver._clique_cover(rows)]
     assert sorted(x for members in classes for x in members) == list(range(len(pos)))
     nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
@@ -447,7 +424,7 @@ def test_kernel_search_without_greedy(monkeypatch):
     when greedy adds nothing, with the same sizes and witnesses."""
     graphs = [path(n) for n in range(1, 10)] + [complete_multipartite((2, 2, 2))]
     expected = [exact_MG(g) for g in graphs]
-    monkeypatch.setattr(solver, "_greedy_clique", lambda rows, cand, kept, need: kept)
+    monkeypatch.setattr(solver, "_greedy_clique", lambda rows, cand, need: 0)
     for g, ref in zip(graphs, expected):
         res = exact_MG(g)
         assert (res.size, res.witness) == (ref.size, ref.witness), g
@@ -518,9 +495,27 @@ def test_multipartite_witness_structure():
 
 
 def test_attractive_reduces_to_skewincidence():
-    for n in range(1, 5):
+    """A second route for mappings: ``max_clique`` on complemented dense
+    rows, kept whole, against the subset route's submask walk with
+    shifting. Mappings to the skew alphabet are the strings, in the same
+    order."""
+    for n in range(1, 11):
         res = exact_attractive(path(n), skew_alphabet(), n)
-        assert res.size == exact_M(n).size, n
+        ref = exact_M(n, override_cap=True)
+        assert res.size == ref.size, n
+        assert ["".join(map(str, m)) for m in res.witness] == [str(w) for w in ref.witness], n
+
+
+def test_attractive_witness_digests():
+    graphs = {
+        "path:7": path(7), "path:6": path(6), "path:3": path(3), "all-loops:5": all_loops(5),
+        "multipartite:1,1,1": complete_multipartite((1, 1, 1)),
+        "multipartite:2,1": complete_multipartite((2, 1)),
+    }
+    for (f_graph, g_graph, n), (size, digest) in ATTRACTIVE_WITNESS_SHA256.items():
+        res = exact_attractive(graphs[f_graph], graphs[g_graph], n)
+        witness = " ".join("".join(map(str, m)) for m in res.witness)
+        assert (res.size, hashlib.sha256(witness.encode()).hexdigest()) == (size, digest), f_graph
 
 
 def test_attractive_all_loops_k2():

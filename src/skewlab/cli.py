@@ -9,6 +9,7 @@ excluded by default exactly so that byte-identity holds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable
 
@@ -255,7 +256,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_n, hi_n
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused
+    by later ones: every parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="skewlab",
         description="Exact experiments on skewincident string families.",

@@ -119,7 +119,7 @@ def disjointness_counterexample(n: int) -> tuple[BitString, BitString] | None:
     order of the full pair scan.
     """
     if not 1 <= n <= 12:
-        raise ValueError(f"disjointness scan is capped at n = 12, got {n}")
+        raise ValueError(f"n must be in [1, 12], got {n}")
     g = [gamma_bits(x, n) for x in range(1 << n)]
     full = (1 << n) - 1
     for x in range(1 << n):

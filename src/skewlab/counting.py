@@ -5,8 +5,8 @@ Its state is the last two chosen bits; each of the four states holds the
 counts of all prefixes by the total gamma contribution of their finished
 positions, packed into one big integer (Kronecker substitution: the count
 for total v sits in slot v, _SLOT_BITS wide). A step of the program is one
-shift-and-add per state, a tail count is one shift and one residue, and no
-string is ever materialized, so it runs comfortably up to n = 512.
+shift-and-add per state, a tail count is one shift and a fold of the slots,
+and no string is ever materialized, so it runs comfortably up to n = 512.
 
 The sampler checks the tail against uniform draws from the SplitMix64
 stream. ``SplitMix64`` is the stream's readable definition; the sampler
@@ -61,6 +61,18 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
 
+def _slot_sum(x: int) -> int:
+    """The sum of the _SLOT_BITS-wide slots of x, folded in halves: the high
+    slots are added onto the low ones until one slot is left. Each slot's
+    weight is 1 modulo _SLOT_SUM, so this is ``x % _SLOT_SUM`` with no final
+    reduction whenever the slots sum below _SLOT_SUM, as counts do: any sum
+    of them is at most 2^n <= 2^512, so no fold ever carries out of a slot."""
+    while x >> _SLOT_BITS:
+        h = _SLOT_BITS * (-(-x.bit_length() // _SLOT_BITS) // 2)
+        x = (x >> h) + (x & (1 << h) - 1)
+    return x
+
+
 @dataclass(frozen=True)
 class GammaDistribution:
     """Exact counts of length-n strings by their gamma value, packed: the
@@ -78,14 +90,11 @@ class GammaDistribution:
         return {v: c for v, c in enumerate(slots) if c}
 
     def total(self) -> int:
-        return self.packed % _SLOT_SUM
+        return _slot_sum(self.packed)
 
     def count_above(self, threshold: int) -> int:
-        """Number of strings with gamma strictly greater than ``threshold``.
-
-        Exact because every sum of counts is at most 2^n, below _SLOT_SUM.
-        """
-        return (self.packed >> _SLOT_BITS * max(threshold + 1, 0)) % _SLOT_SUM
+        """Number of strings with gamma strictly greater than ``threshold``."""
+        return _slot_sum(self.packed >> _SLOT_BITS * max(threshold + 1, 0))
 
     def weighted_sum(self) -> int:
         """Sum of gamma over all 2^n strings (an exact integer)."""

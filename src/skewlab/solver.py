@@ -21,7 +21,7 @@ cliques of H cover every element and bound any family by their number; and
 the lexicographically first witness is decided step by step by counting
 live classes, repairing a carried optimum, or else an iterative
 branch-and-bound search. The same Hopcroft-Karp function serves the
-Sperner layer's cover-edge matching.
+Sperner layer's rank-level matchings.
 """
 
 from __future__ import annotations
@@ -222,7 +222,9 @@ def hopcroft_karp(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
 
     Greedy seeding in index order, then Hopcroft-Karp phases, each
     augmenting along vertex-disjoint shortest paths found depth-first in
-    adjacency order; returns (match_of_left, match_of_right), -1 when free.
+    adjacency order from the free left vertices that have edges (the others
+    can never be matched, so padding a side with them costs next to
+    nothing); returns (match_of_left, match_of_right), -1 when free.
     """
     count = len(adj)
     match_left = [-1] * count
@@ -234,8 +236,8 @@ def hopcroft_karp(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
                 match_right[v] = u
                 break
 
+    free = [u for u, m in enumerate(match_left) if m == -1 and adj[u]]
     infinity = count + 1
-    dist = [0] * count
 
     def augment(root: int, shortest: int) -> None:
         """Flip the first shortest augmenting path from the free left vertex
@@ -261,13 +263,10 @@ def hopcroft_karp(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
                 stack.pop()
 
     while True:
-        queue: deque[int] = deque()
-        for u in range(count):
-            if match_left[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = infinity
+        dist = [infinity] * count
+        for u in free:
+            dist[u] = 0
+        queue = deque(free)
         shortest = infinity
         while queue:
             u = queue.popleft()
@@ -284,9 +283,9 @@ def hopcroft_karp(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
                     queue.append(w)
         if shortest == infinity:
             return match_left, match_right
-        for u in range(count):
-            if match_left[u] == -1:
-                augment(u, shortest)
+        for u in free:  # only a root's own augment matches it
+            augment(u, shortest)
+        free = [u for u in free if match_left[u] == -1]
 
 
 def _unrelated_graph(g: Graph) -> tuple[list[int], list[list[int]], list[bool]]:

@@ -1,13 +1,16 @@
 """Exact maximum antichains inside the no-adjacent-ones strings.
 
-The primary route is one maximum bipartite matching over cover edges: x is
-joined to each string that x covers, that is x with one set bit cleared.
-Following matched edges glues the strings into (number of strings) -
-(matching size) chains that partition the poset, each step adding one bit.
-An antichain meets every chain at most once, so no antichain is larger than
-that count; the largest rank level (strings of one weight) is an antichain,
-and when its size equals the chain count, both are optimal. That equality is
-the certificate, checked on every call. An independent oracle solves the
+The poset is graded by weight: rank level k holds the strings with k set
+bits, and x covers the strings that are x with one set bit cleared. The
+primary route matches each pair of adjacent levels along cover edges,
+upward below the peak (the largest level, the lower weight on ties) and
+downward from the peak on. When every such matching saturates the level it
+starts from, following matched edges glues the strings into chains that
+each pass through exactly one peak string, so there are as many chains as
+the peak has strings. An antichain meets every chain at most once, so no
+antichain is larger; the peak itself is an antichain, so both are optimal.
+That saturation is the certificate, checked on every call (Engel, *Sperner
+Theory*, 1997, on normalized matchings). An independent oracle solves the
 same question as a maximum clique of the incomparability relation.
 
 Strings stay the integer masks of ``fibonacci_masks`` throughout; only the
@@ -33,14 +36,45 @@ def _checked_masks(n: int, cap: int) -> list[int]:
     return fibonacci_masks(n)
 
 
-def _cover_matching(bits: list[int]) -> tuple[list[int], list[int]]:
-    """Maximum matching over cover edges: left copy u connects to right copy
-    v iff bits[v] is bits[u] with one set bit cleared, adjacency listed by
-    the cleared bit, low first; returns (match_of_left, match_of_right)."""
-    index = {b: i for i, b in enumerate(bits)}
-    return hopcroft_karp(
-        [[index[b & ~(1 << j)] for j in range(b.bit_length()) if b >> j & 1] for b in bits]
-    )
+def _chain_links(n: int) -> tuple[list[int], dict[int, int]]:
+    """The largest rank level of the length-n poset (ascending masks; the
+    lowest weight on ties), and each string's successor in a chain partition
+    with one chain through every string of that level.
+
+    The links are one maximum matching along cover edges per pair of
+    adjacent levels: upward from the lower level below the peak, downward
+    from the upper level from the peak on. Raises AssertionError unless
+    each matching saturates the level it starts from.
+    """
+    levels: list[list[int]] = [[] for _ in range((n + 1) // 2 + 1)]
+    for b in _checked_masks(n, MAX_POSET_LENGTH):
+        levels[b.bit_count()].append(b)
+    index = {b: i for level in levels for i, b in enumerate(level)}
+    peak = max(range(len(levels)), key=lambda k: len(levels[k]))
+    full = (1 << n) - 1
+    up: dict[int, int] = {}
+    for k in range(len(levels) - 1):
+        upward = k < peak
+        left, right = (levels[k], levels[k + 1]) if upward else (levels[k + 1], levels[k])
+        adj = []  # adj[i]: positions in ``right`` of the strings one bit from left[i]
+        for b in left:
+            covers = []
+            rest = full & ~(b | b << 1 | b >> 1) if upward else b  # bits to set or clear
+            while rest:
+                low = rest & -rest
+                covers.append(index[b ^ low])
+                rest ^= low
+            adj.append(covers)
+        # edgeless left vertices up to the size of ``right``: one index range for both sides
+        match = hopcroft_karp(adj + [[]] * (len(right) - len(left)))[0][:len(left)]
+        if -1 in match:
+            raise AssertionError(
+                f"rank level {k if upward else k + 1} has {match.count(-1)} strings"
+                f" left free by its matching with level {k + 1 if upward else k}"
+            )
+        matched = map(right.__getitem__, match)
+        up.update(zip(left, matched) if upward else zip(matched, left))
+    return levels[peak], up
 
 
 @dataclass(frozen=True)
@@ -63,45 +97,33 @@ def max_antichain(n: int) -> AntichainResult:
     """Exact maximum antichain of the dominance order on the length-n
     no-adjacent-ones strings.
 
-    Size is the number of chains glued from the cover-edge matching. The
-    witness is the largest rank level, the lowest weight when levels tie,
-    in lexicographic order. The chains bound every antichain from above and
-    the level is an antichain, so a level as large as the chain count
-    certifies both as optimal; anything else raises. The witness is also
-    re-checked to be distinct strings of one weight before it is returned.
+    The witness and size are the largest rank level, the lowest weight when
+    levels tie, in lexicographic order. Its optimality is certified by the
+    level matchings: each must saturate the level it starts from, so that
+    the glued chains are as many as the level's strings and bound every
+    antichain; anything else raises. The witness is also re-checked to be
+    distinct strings of one weight before it is returned.
     """
-    bits = _checked_masks(n, MAX_POSET_LENGTH)
-    _, match_right = _cover_matching(bits)
-    size = match_right.count(-1)  # one chain per string no larger one is matched to
-    levels: list[list[int]] = [[] for _ in range(n + 1)]
-    for b in bits:
-        levels[b.bit_count()].append(b)
-    level = max(levels, key=len)
-    if len(level) != size:
-        raise AssertionError(
-            f"{size} chains but the largest rank level has {len(level)} elements"
-        )
+    level, _ = _chain_links(n)
     _verify_antichain(level)
-    return AntichainResult(n, size, tuple(BitString(n, b) for b in level))
+    return AntichainResult(n, len(level), tuple(BitString(n, b) for b in level))
 
 
 def minimum_chain_cover(n: int) -> list[list[BitString]]:
     """Partition of the length-n poset into the fewest chains, each listed in
-    ascending dominance order; their number equals the maximum antichain."""
-    bits = _checked_masks(n, MAX_POSET_LENGTH)
-    match_left, match_right = _cover_matching(bits)
+    ascending dominance order: the certified level matchings glued into one
+    chain through each string of the largest level, so their number equals
+    the maximum antichain."""
+    _, up = _chain_links(n)
+    reached = set(up.values())
     chains = []
-    for start in range(len(bits)):
-        if match_right[start] != -1:
-            continue  # not a chain top: something dominates it within its chain
-        chain = []
-        u = start
-        while u != -1:
-            chain.append(BitString(n, bits[u]))
-            u = match_left[u]
-        chain.reverse()
-        chains.append(chain)
-    chains.sort(key=lambda c: c[0].bits)
+    for b in fibonacci_masks(n):
+        if b in reached:
+            continue  # not a chain bottom: its chain reaches it from below
+        chain = [b]
+        while chain[-1] in up:
+            chain.append(up[chain[-1]])
+        chains.append([BitString(n, x) for x in chain])
     return chains
 
 

@@ -143,7 +143,7 @@ def test_disjointness_scan():
     for n in range(1, 9):
         assert disjointness_counterexample(n) is None, n
     for n in (0, 13):
-        with pytest.raises(ValueError, match=f"disjointness scan is capped at n = 12, got {n}"):
+        with pytest.raises(ValueError, match=rf"n must be in \[1, 12\], got {n}$"):
             disjointness_counterexample(n)
 
 

@@ -22,7 +22,7 @@ from skewlab.counting import (
     monte_carlo_tail,
     tail_probability,
 )
-from skewlab.counting import _LANES
+from skewlab.counting import _LANES, _SLOT_BITS, _SLOT_SUM, _slot_sum
 from tables import (
     COUNT_C,
     CROSSOVER_N,
@@ -65,6 +65,25 @@ def test_packed_sums_exact_at_the_cap():
     dist = gamma_distribution(512)
     assert dist.total() == dist.count_above(-1) == 2 ** 512
     assert dist.count_above(2 * 512) == 0
+
+
+def test_slot_fold_equals_residue():
+    for dist in gamma_distributions_upto(512):
+        for x in (dist.packed, dist.packed >> _SLOT_BITS * (dist.n + 1)):
+            assert _slot_sum(x) == x % _SLOT_SUM, dist.n
+    w = _SLOT_BITS
+    boundary = [
+        0,
+        1,
+        1 << 512,
+        1 << 512 + 1024 * w,                  # the top slot at n = 512
+        (1 << 511) + (1 << 511 + 2 * w),      # an odd number of slots
+        sum(1 << k * w for k in range(1025)),  # every slot at n = 512
+        _SLOT_SUM - 1,                        # one slot, just below the modulus
+        _SLOT_SUM - 2 + (1 << w),             # two slots summing to _SLOT_SUM - 1
+    ]
+    for x in boundary:
+        assert _slot_sum(x) == x % _SLOT_SUM, x
 
 
 def test_single_distribution_equals_sweep_entry():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewlab import cli
 from skewlab.cli import main
 from skewlab.report import (
     BOOL,
@@ -263,6 +264,42 @@ def test_cli_rejects_reversed_range(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad range" in captured.err
+
+
+BACK_TO_BACK = [
+    ["report", "--table", "theorem", "--max-n", "3", "--format", "csv"],
+    ["sperner", "--n", "3", "--witness"],
+    ["report", "--n-range", "1..2"],  # --max-n and --table of the first must not stick
+    ["verify", "--check", "disjointness", "--n", "0"],  # exit 2 from a range check
+    ["sperner", "--n-range", "5..3"],  # an argparse error: SystemExit(2)
+    ["sperner", "--n-range", "2..3", "--format", "json"],  # --witness must not stick
+    ["gamma-dist", "--n", "2"],
+]
+
+
+def cli_outcome(capsys, argv: list[str]) -> tuple[object, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_commands_back_to_back_match_fresh_calls(capsys):
+    fresh = []
+    for argv in BACK_TO_BACK:
+        cli._build_parser.cache_clear()
+        fresh.append(cli_outcome(capsys, argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2, 0, 0]
+    cli._build_parser.cache_clear()
+    assert [cli_outcome(capsys, argv) for argv in BACK_TO_BACK] == fresh
+    shared = cli._build_parser()
+    assert cli._build_parser() is shared  # one parser per process
+    for argv in BACK_TO_BACK:
+        if argv != ["sperner", "--n-range", "5..3"]:
+            assert vars(shared.parse_args(argv)) == vars(
+                cli._build_parser.__wrapped__().parse_args(argv)), argv
 
 
 def test_cli_out_dev_null(capsys):

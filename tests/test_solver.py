@@ -289,6 +289,39 @@ def test_cover_bound_meets_the_frozen_values():
         assert len(kept) - (len(pairs) + 1) // 2 == expected, n
 
 
+def kuhn_matching_size(adj: list[list[int]], right: int) -> int:
+    """Maximum matching size by one augmenting-path search per left vertex."""
+    match = [-1] * right
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if match[v] == -1 or augment(match[v], seen):
+                    match[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in range(len(adj)))
+
+
+def test_hopcroft_karp_ignores_edgeless_padding():
+    """Left vertices without edges stay free and leave the rest of the
+    matching as it is, so a smaller left side can be padded with them."""
+    rng = random.Random(5)
+    for trial in range(200):
+        left, right = rng.randint(1, 12), rng.randint(1, 24)
+        adj = [rng.sample(range(right), rng.randint(0, min(right, 4))) for _ in range(left)]
+        pad = max(left, right) - left
+        match_left, match_right = solver.hopcroft_karp(adj + [[]] * pad)
+        assert match_left[left:] == [-1] * pad
+        pairs = [(u, v) for u, v in enumerate(match_left) if v != -1]
+        assert all(v in adj[u] and match_right[v] == u for u, v in pairs)
+        assert match_right.count(-1) == len(match_right) - len(pairs)
+        assert len(pairs) == kuhn_matching_size(adj, right), trial
+        assert solver.hopcroft_karp(adj + [[]] * (pad + 3))[0][:left] == match_left[:left]
+
+
 def test_exact_M_witness():
     res = exact_M(3)
     assert {str(w) for w in res.witness} == MAX_FAMILY_WITNESS_3

@@ -1,7 +1,7 @@
 """Antichain maxima: chain-cover route, independent oracle, bound checks."""
 
-import hashlib
 import itertools
+import math
 
 import pytest
 
@@ -9,6 +9,7 @@ from skewlab import sperner
 from skewlab.bitstring import comparable, is_fibonacci, leq, weight
 from skewlab.constructions import enumerate_fibonacci, fibonacci_masks
 from skewlab.counting import fibonacci_count
+from skewlab.solver import hopcroft_karp
 from skewlab.sperner import (
     max_antichain,
     max_antichain_oracle,
@@ -26,7 +27,7 @@ def test_poset_basics():
     for n in range(1, 9):
         elements = enumerate_fibonacci(n).sorted_members()
         assert len(elements) == fibonacci_count(n)
-        # the matching runs over the masks in this same order
+        # the rank levels are read off the masks in this same order
         assert [e.bits for e in elements] == fibonacci_masks(n)
         # the all-zero string is the unique minimum
         bottom, *rest = elements
@@ -101,26 +102,36 @@ def test_chain_cover_partitions_poset():
                 assert leq(a, b) and (a.bits ^ b.bits).bit_count() == 1
 
 
-def test_cover_matching_is_pinned():
-    """SHA-256 of the comma-joined match of each left copy, recorded with the
-    recursive augmenting-path search; an iterative search must walk the
-    same paths in the same order."""
-    pinned = {
-        19: "623ef5867c0845bce9dda91362330349270e608446f003bcd29e64154b5dad3d",
-        20: "44ca67a50fda7fe0c3f915e78c04f78cc992b84ce4e9ea30b9d776cbc7259b80",
-    }
-    for n, digest in pinned.items():
-        match_left, _ = sperner._cover_matching(fibonacci_masks(n))
-        assert hashlib.sha256(",".join(map(str, match_left)).encode()).hexdigest() == digest, n
+def test_level_matchings_saturate_the_smaller_level():
+    for n in range(1, 21):
+        level, up = sperner._chain_links(n)
+        sizes = [math.comb(n + 1 - k, k) for k in range((n + 1) // 2 + 1)]
+        assert len(level) == max(sizes) and level[0].bit_count() == sizes.index(max(sizes))
+        assert len(set(up.values())) == len(up)  # one successor and one predecessor each
+        links = [0] * len(sizes)  # links[k]: matched pairs between levels k and k + 1
+        for a, b in up.items():  # a cover edge: b is a with one more bit set
+            assert a & ~b == 0 and (a ^ b).bit_count() == 1, (n, a, b)
+            links[a.bit_count()] += 1
+        assert links[:-1] == [min(p, q) for p, q in zip(sizes, sizes[1:])], n
+
+
+def test_antichain_size_is_the_largest_binomial_level():
+    for n in range(1, 21):
+        assert max_antichain(n).size == max(math.comb(n + 1 - k, k) for k in range(n + 1)), n
 
 
 def test_certificate_check_fires(monkeypatch):
-    # with no matching every string is its own chain, more than any level
-    monkeypatch.setattr(
-        sperner, "_cover_matching", lambda bits: ([-1] * len(bits), [-1] * len(bits))
-    )
-    with pytest.raises(AssertionError):
+    # a level matching that leaves one string of the smaller level free
+    def one_short(adj):
+        match_left, match_right = hopcroft_karp(adj)
+        match_left[0] = -1  # a string of the level the matching starts from
+        return match_left, match_right
+
+    monkeypatch.setattr(sperner, "hopcroft_karp", one_short)
+    with pytest.raises(AssertionError, match="left free"):
         max_antichain(5)
+    with pytest.raises(AssertionError, match="left free"):
+        minimum_chain_cover(5)
 
 
 def test_antichain_check_rejects_mixed_weights_and_duplicates():

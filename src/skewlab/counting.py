@@ -45,14 +45,13 @@ _SM64_MIX2 = 0x94D049BB133111EB
 _LANES = 2048
 _LANE_BITS = 128
 
+# The widest root a float log2 estimate seeds to within a few units: the
+# coarsest level of floor_kth_root's precision ladder.
+_SEED_BITS = 32
+
 
 class CrossoverNotFoundError(ValueError):
     """Raised when no scan prefix satisfies the requested inequality."""
-
-
-def _check_dp_length(n: int) -> None:
-    if not 1 <= n <= MAX_DP_LENGTH:
-        raise ValueError(f"n must be in [1, {MAX_DP_LENGTH}], got {n}")
 
 
 def _check_seed(seed: int) -> None:
@@ -104,8 +103,9 @@ class GammaDistribution:
         return Fraction(self.weighted_sum(), 1 << self.n)
 
 
-def _distribution_sweep(max_n: int) -> Iterator[GammaDistribution]:
-    """Yield the exact gamma distribution for every n = 1..max_n in one pass.
+def gamma_distribution_sweep(max_n: int) -> Iterator[GammaDistribution]:
+    """Yield the exact gamma distribution for every n = 1..max_n in one pass,
+    one at a time, so a caller that streams them holds one distribution.
 
     State sAB after choosing positions 1..i (A = bit i-1, B = bit i) packs the
     counts by the gamma total of the finished positions 1..i-1, so a one-slot
@@ -113,6 +113,8 @@ def _distribution_sweep(max_n: int) -> Iterator[GammaDistribution]:
     position i with B + [A = 1 or c = 1]; for c = 0 that is B + A, as at the
     end of a length-i string, so length i's distribution is s00 + s10 then.
     """
+    if not 1 <= max_n <= MAX_DP_LENGTH:
+        raise ValueError(f"n must be in [1, {MAX_DP_LENGTH}], got {max_n}")
     w = _SLOT_BITS
     s00, s01, s10, s11 = 1, 1, 0, 0  # positions 0 (an implicit 0) and 1
     for n in range(1, max_n + 1):
@@ -123,14 +125,12 @@ def _distribution_sweep(max_n: int) -> Iterator[GammaDistribution]:
 
 def gamma_distributions_upto(max_n: int) -> list[GammaDistribution]:
     """Distributions for every n in [1, max_n], sharing a single DP sweep."""
-    _check_dp_length(max_n)
-    return list(_distribution_sweep(max_n))
+    return list(gamma_distribution_sweep(max_n))
 
 
 def gamma_distribution(n: int) -> GammaDistribution:
     """Exact distribution of gamma over all 2^n strings of length n."""
-    _check_dp_length(n)
-    return deque(_distribution_sweep(n), maxlen=1).pop()
+    return deque(gamma_distribution_sweep(n), maxlen=1).pop()
 
 
 def count_C(n: int) -> int:
@@ -165,34 +165,49 @@ def fibonacci_count(n: int) -> int:
 def floor_kth_root(x: int, k: int) -> int:
     """Largest integer r with r**k <= x.
 
-    Newton descent on exact integers. The seed comes from a float log2
-    estimate nudged strictly above the true root, so the descent reaches the
-    answer in a handful of steps even for large k (a plain bit-length seed
-    would converge only linearly, with error shrinking by ~1/k per step).
+    An even k is halved with ``math.isqrt``, as floor(floor(x^(1/a))^(1/b))
+    = floor(x^(1/ab)). An odd k climbs a precision ladder. The exact floor
+    root of x >> k*s is floor(x^(1/k) / 2^s), so one level's root plus one,
+    shifted left by the drop in s, is a strict upper bound on the next
+    level's root. Each level's root is about twice as wide as the last
+    one's: at most _SEED_BITS bits at the coarsest, the full root at s = 0.
+    The coarsest level starts from a float log2 estimate nudged above its
+    root. Every level runs integer Newton from above, which a seed that
+    close finishes in two or three steps, and checks r**k <= y < (r + 1)**k
+    on its own y = x >> k*s.
     """
     if x < 0 or k < 1:
         raise ValueError("x must be >= 0 and k >= 1")
+    while k % 2 == 0:
+        x, k = math.isqrt(x), k // 2
     if x < 2 or k == 1:
         return x
-    xb = x.bit_length()
-    root_bits = xb / k
-    if root_bits <= 980.0:
-        top = x >> max(0, xb - 64)
-        log2x = (xb - 64 if xb > 64 else 0) + math.log2(top)
-        seed = math.ldexp(2.0 ** ((log2x / k) % 1.0) * (1.0 + 1e-9), int(log2x / k))
-        r = max(int(seed) + 1, 2)
-    else:
-        r = 1 << -(-xb // k)  # astronomically large x: factor-2 seed
+    bits = (x.bit_length() - 1) // k + 1  # the root is below 2^bits
+    widths = [bits]  # root widths, finest first: level b roots x >> k * (bits - b)
+    while widths[-1] > _SEED_BITS:
+        widths.append((widths[-1] + 1) // 2)
+    width = widths.pop()
+    y = x >> k * (bits - width)
+    yb = y.bit_length()
+    log2y = (yb - 64 if yb > 64 else 0) + math.log2(y >> max(0, yb - 64))
+    seed = math.ldexp(2.0 ** ((log2y / k) % 1.0) * (1.0 + 1e-9), int(log2y / k))
+    r = max(int(seed) + 1, 2)
     while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+        while True:
+            nr = ((k - 1) * r + y // r ** (k - 1)) // k
+            if nr >= r:
+                break
+            r = nr
+        while r ** k > y:
+            r -= 1
+        while (r + 1) ** k <= y:
+            r += 1
+        if not widths:
+            return r
+        finer = widths.pop()
+        r = (r + 1) << (finer - width)
+        width = finer
+        y = x >> k * (bits - width)
 
 
 @lru_cache(maxsize=None)
@@ -215,6 +230,35 @@ def ceil_pow2(numerator: int, denominator: int) -> int:
     return f if r == 0 else f + 1
 
 
+def floor_pow2_upto(numerator: int, denominator: int, max_n: int) -> list[int]:
+    """floor(2**(numerator*n/denominator)) for n = 1..max_n, with one root per
+    residue class of numerator*n modulo denominator.
+
+    Exponents in one class differ by whole numbers, so each n takes the root
+    of its class's largest member m, shifted right by numerator*(m - n)/
+    denominator bits; that is exact, as floor(floor(z) / 2^j) = floor(z / 2^j).
+    """
+    if denominator < 1 or numerator < 0:
+        raise ValueError("exponent must be a nonnegative rational")
+    tops: dict[int, tuple[int, int]] = {}  # residue -> (exponent, floor) of its largest n
+    bounds = []
+    for n in range(max_n, 0, -1):
+        e = numerator * n
+        if e % denominator not in tops:
+            tops[e % denominator] = e, floor_pow2(e, denominator)
+        top, root = tops[e % denominator]
+        bounds.append(root >> (top - e) // denominator)
+    bounds.reverse()
+    return bounds
+
+
+def ceil_pow2_upto(numerator: int, denominator: int, max_n: int) -> list[int]:
+    """ceil(2**(numerator*n/denominator)) for n = 1..max_n: the floor, plus
+    one unless the exponent is a whole number."""
+    return [f + (numerator * n % denominator != 0)
+            for n, f in enumerate(floor_pow2_upto(numerator, denominator, max_n), 1)]
+
+
 def crossover_scan(max_n: int) -> int:
     """Smallest N such that 2^n - count_C(n) <= 2^(0.96 n) for all n in [N, max_n].
 
@@ -225,10 +269,11 @@ def crossover_scan(max_n: int) -> int:
     if not 2 <= max_n <= MAX_DP_LENGTH:
         raise ValueError(f"max_n must be in [2, {MAX_DP_LENGTH}], got {max_n}")
     last_violation = 0
-    for dist in _distribution_sweep(max_n):
+    bounds = floor_pow2_upto(24, 25, max_n)
+    for dist, bound in zip(gamma_distribution_sweep(max_n), bounds):
         n = dist.n
         lhs = (1 << n) - dist.count_above(n)
-        if lhs > floor_pow2(24 * n, 25):
+        if lhs > bound:
             last_violation = n
     if last_violation >= max_n:
         raise CrossoverNotFoundError(

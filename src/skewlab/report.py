@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .counting import (
-    ceil_pow2,
+    MAX_DP_LENGTH,
+    ceil_pow2_upto,
     count_C,
     fibonacci_count,
-    floor_pow2,
-    gamma_distributions_upto,
+    floor_pow2_upto,
+    gamma_distribution_sweep,
 )
 from .solver import EXACT_M_DEFAULT_CAP, exact_M
 from .sperner import MAX_POSET_LENGTH, max_antichain
@@ -135,12 +136,13 @@ def theorem_table(max_n: int) -> Table:
         "bound_0_69",
         "upper_ok",
     )
+    if not 1 <= max_n <= MAX_DP_LENGTH:
+        raise ValueError(f"max_n must be in [1, {MAX_DP_LENGTH}], got {max_n}")
+    bounds = zip(floor_pow2_upto(24, 25, max_n), ceil_pow2_upto(69, 100, max_n))
     rows = []
-    for dist in gamma_distributions_upto(max_n):
+    for dist, (b96, b69) in zip(gamma_distribution_sweep(max_n), bounds):
         n = dist.n
         outside = (1 << n) - dist.count_above(n)
-        b96 = floor_pow2(24 * n, 25)
-        b69 = ceil_pow2(69 * n, 100)
         if n <= MAX_POSET_LENGTH:
             deficit = fibonacci_count(n) - max_antichain(n).size
             upper_ok: bool | None = deficit >= b69
@@ -165,12 +167,14 @@ def summary_table(n_lo: int, n_hi: int) -> Table:
         "exact_max",
         "upper_bound",
     )
-    dists = {d.n: d for d in gamma_distributions_upto(n_hi)}
     rows = []
-    for n in range(n_lo, n_hi + 1):
+    for dist in gamma_distribution_sweep(n_hi):
+        n = dist.n
+        if n < n_lo:
+            continue
         fib = fibonacci_count(n)
         m_n = max_antichain(n).size if n <= MAX_POSET_LENGTH else None
-        c_n = dists[n].count_above(n)
+        c_n = dist.count_above(n)
         exact = exact_M(n).size if n <= EXACT_M_DEFAULT_CAP else None
         upper = (1 << n) - (fib - m_n) if m_n is not None else None
         rows.append((n, fib, m_n, c_n, exact, upper))

@@ -11,18 +11,20 @@ from skewlab.counting import (
     CrossoverNotFoundError,
     SplitMix64,
     ceil_pow2,
+    ceil_pow2_upto,
     count_C,
     crossover_scan,
     expected_gamma,
     fibonacci_count,
     floor_kth_root,
     floor_pow2,
+    floor_pow2_upto,
     gamma_distribution,
     gamma_distributions_upto,
     monte_carlo_tail,
     tail_probability,
 )
-from skewlab.counting import _LANES, _SLOT_BITS, _SLOT_SUM, _slot_sum
+from skewlab.counting import _LANES, _SEED_BITS, _SLOT_BITS, _SLOT_SUM, _slot_sum
 from tables import (
     COUNT_C,
     CROSSOVER_N,
@@ -193,6 +195,39 @@ def test_floor_kth_root():
         floor_kth_root(-1, 2)
 
 
+def floor_root_by_bisection(x: int, k: int) -> int:
+    """Largest r with r**k <= x, decided one bit of r at a time from the top."""
+    r = 0
+    for bit in reversed(range(x.bit_length() // k + 1)):
+        if (r | 1 << bit) ** k <= x:
+            r |= 1 << bit
+    return r
+
+
+def root_boundary_cases(k: int) -> set[int]:
+    """x < 2, m^k - 1, m^k and m^k + 1, and 2^e - 1 and 2^e + 1, up to 8,000
+    bits. The widths of m and of the root of 2^e sit on both sides of every
+    _SEED_BITS * 2^j, where the ladder gains a rung."""
+    widths = {1, 2, 3}
+    for j in range(7):
+        widths |= {(_SEED_BITS << j) - 1, _SEED_BITS << j, (_SEED_BITS << j) + 1}
+    cases = {0, 1}
+    for w in widths:
+        if w * k + 1 <= 8000:
+            for m in (1 << w) - 1, (1 << w - 1) + 1:
+                cases |= {m ** k - 1, m ** k, m ** k + 1}
+            cases |= {(1 << w * k) - 1, (1 << w * k) + 1}
+    return cases
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 25, 50, 100, 1000])
+def test_floor_kth_root_matches_bisection(k):
+    # even k goes through isqrt first; the odd parts 3, 5, 7, 25 and 125 climb
+    # ladders of one to eight levels here
+    for x in sorted(root_boundary_cases(k)):
+        assert floor_kth_root(x, k) == floor_root_by_bisection(x, k), (x.bit_length(), k)
+
+
 def test_floor_and_ceil_pow2():
     assert floor_pow2(10, 1) == 1024
     assert ceil_pow2(10, 1) == 1024
@@ -213,6 +248,15 @@ def test_floor_pow2_on_reducible_fractions():
         for num, den in ((24 * n, 25), (69 * n, 100), (694 * n, 1000)):
             r = floor_pow2(num, den)
             assert r ** den <= 2 ** num < (r + 1) ** den, (num, den)
+
+
+def test_batched_pow2_bounds_match_per_n():
+    for num, den in ((24, 25), (69, 100), (694, 1000), (1, 2), (3, 1)):
+        floors = [floor_pow2(num * n, den) for n in range(1, 513)]
+        ceils = [ceil_pow2(num * n, den) for n in range(1, 513)]
+        assert floor_pow2_upto(num, den, 512) == floors, (num, den)
+        assert ceil_pow2_upto(num, den, 512) == ceils, (num, den)
+    assert floor_pow2_upto(24, 25, 0) == ceil_pow2_upto(24, 25, 0) == []
 
 
 def test_crossover_scan_value():

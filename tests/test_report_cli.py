@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from skewlab import cli
+from skewlab import cli, report
 from skewlab.cli import main
 from skewlab.report import (
     BOOL,
@@ -96,6 +97,22 @@ def fib_minus(n: int) -> int:
     for _ in range(n - 1):
         a, b = b, a + b
     return b - ANTICHAIN_MAX[n]
+
+
+def test_tables_stream_the_sweep(monkeypatch):
+    # the antichain and exact-maximum columns are slow and hold no
+    # distribution, so the traced calls leave them out
+    monkeypatch.setattr(report, "MAX_POSET_LENGTH", 0)
+    tracemalloc.start()
+    try:
+        theorem = theorem_table(512)
+        summary = summary_table(report.EXACT_M_DEFAULT_CAP + 1, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(theorem.rows) == 512 and summary.rows[-1][0] == 512
+    # the 512 distributions held at once take 17 MB; streamed, under 1 MB
+    assert peak < 4 << 20, peak
 
 
 def test_summary_table_columns():
@@ -337,6 +354,18 @@ def test_cli_report_rejects_the_other_tables_option(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "does not take" in captured.err, argv
+
+
+def test_cli_max_n_range_errors_name_max_n(capsys):
+    for argv, message in ((["report", "--table", "theorem", "--max-n", "0"],
+                           "max_n must be in [1, 512], got 0"),
+                          (["report", "--table", "theorem", "--max-n", "513"],
+                           "max_n must be in [1, 512], got 513"),
+                          (["crossover", "--max-n", "1"], "max_n must be in [2, 512], got 1")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"skewlab: error: {message}\n", argv
 
 
 def test_cli_sperner_names_its_cap_for_every_n(capsys):

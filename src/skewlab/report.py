@@ -24,7 +24,7 @@ from .counting import (
     gamma_distribution_sweep,
 )
 from .solver import EXACT_M_DEFAULT_CAP, exact_M
-from .sperner import MAX_POSET_LENGTH, max_antichain
+from .sperner import MAX_POSET_LENGTH, antichain_sizes, max_antichain
 
 FORMATS = ("csv", "json", "markdown")
 
@@ -138,13 +138,14 @@ def theorem_table(max_n: int) -> Table:
     )
     if not 1 <= max_n <= MAX_DP_LENGTH:
         raise ValueError(f"max_n must be in [1, {MAX_DP_LENGTH}], got {max_n}")
+    antichain = antichain_sizes(1, min(max_n, MAX_POSET_LENGTH))
     bounds = zip(floor_pow2_upto(24, 25, max_n), ceil_pow2_upto(69, 100, max_n))
     rows = []
     for dist, (b96, b69) in zip(gamma_distribution_sweep(max_n), bounds):
         n = dist.n
         outside = (1 << n) - dist.count_above(n)
-        if n <= MAX_POSET_LENGTH:
-            deficit = fibonacci_count(n) - max_antichain(n).size
+        if n <= len(antichain):
+            deficit = fibonacci_count(n) - antichain[n - 1]
             upper_ok: bool | None = deficit >= b69
         else:
             deficit = None
@@ -157,7 +158,9 @@ def summary_table(n_lo: int, n_hi: int) -> Table:
     """Headline quantities per n: Fibonacci count, antichain maximum,
     construction size, exact family maximum where computed, and the
     antichain-complement upper bound."""
-    if not 1 <= n_lo <= n_hi:
+    if n_lo < 1:
+        raise ValueError(f"n must be in [1, {MAX_DP_LENGTH}], got {n_lo}")
+    if n_lo > n_hi:
         raise ValueError(f"bad range [{n_lo}, {n_hi}]")
     columns = (
         "n",
@@ -167,13 +170,14 @@ def summary_table(n_lo: int, n_hi: int) -> Table:
         "exact_max",
         "upper_bound",
     )
+    antichain = antichain_sizes(n_lo, min(n_hi, MAX_POSET_LENGTH))
     rows = []
     for dist in gamma_distribution_sweep(n_hi):
         n = dist.n
         if n < n_lo:
             continue
         fib = fibonacci_count(n)
-        m_n = max_antichain(n).size if n <= MAX_POSET_LENGTH else None
+        m_n = antichain[n - n_lo] if n - n_lo < len(antichain) else None
         c_n = dist.count_above(n)
         exact = exact_M(n).size if n <= EXACT_M_DEFAULT_CAP else None
         upper = (1 << n) - (fib - m_n) if m_n is not None else None

@@ -20,8 +20,7 @@ cover, then an exact search of the Nemhauser-Trotter kernel); greedy
 cliques of H cover every element and bound any family by their number; and
 the lexicographically first witness is decided step by step by counting
 live classes, repairing a carried optimum, or else an iterative
-branch-and-bound search. The same Hopcroft-Karp function serves the
-Sperner layer's rank-level matchings.
+branch-and-bound search.
 """
 
 from __future__ import annotations

@@ -2,16 +2,23 @@
 
 The poset is graded by weight: rank level k holds the strings with k set
 bits, and x covers the strings that are x with one set bit cleared. The
-primary route matches each pair of adjacent levels along cover edges,
-upward below the peak (the largest level, the lower weight on ties) and
-downward from the peak on. When every such matching saturates the level it
-starts from, following matched edges glues the strings into chains that
-each pass through exactly one peak string, so there are as many chains as
-the peak has strings. An antichain meets every chain at most once, so no
-antichain is larger; the peak itself is an antichain, so both are optimal.
-That saturation is the certificate, checked on every call (Engel, *Sperner
-Theory*, 1997, on normalized matchings). An independent oracle solves the
-same question as a maximum clique of the incomparability relation.
+levels are unimodal, and the primary route matches each pair of adjacent
+levels along cover edges so that the smaller level of the pair is covered.
+Following matched edges then glues the strings into as many chains as the
+strings outnumber the links, which is the size of the peak (the largest
+level, the lower weight on ties). An antichain meets every chain at most
+once, so no antichain is larger; the peak itself is an antichain, so both
+are optimal. Those link counts are the certificate, checked at every
+length (Engel, *Sperner Theory*, 1997, on normalized matchings).
+
+One sweep certifies every length up to n. The length-n strings are the
+length-(n-1) ones and the length-(n-2) ones with the top bit 2^(n-1) set,
+so the matchings of length n start as the union of those two lengths'
+matchings, the second with the top bit set on both ends (one level up).
+Only a pair of levels whose inherited links fall short of its smaller level
+is extended, by augmenting paths from its free strings; the cover
+neighbours are read off the masks. An independent oracle solves the same
+question as a maximum clique of the incomparability relation.
 
 Strings stay the integer masks of ``fibonacci_masks`` throughout; only the
 returned witnesses and chains become ``BitString``s.
@@ -19,62 +26,134 @@ returned witnesses and chains become ``BitString``s.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import zip_longest
+from typing import Iterator
 
 from .bitstring import BitString
 from .constructions import fibonacci_masks
 from .counting import fibonacci_count
-from .solver import CliqueInstance, hopcroft_karp, max_clique
+from .solver import CliqueInstance, max_clique
 
 MAX_POSET_LENGTH = 20
 ORACLE_MAX_LENGTH = 10
 
 
-def _checked_masks(n: int, cap: int) -> list[int]:
+def _check_length(n: int, cap: int) -> None:
     if not 1 <= n <= cap:
         raise ValueError(f"n must be in [1, {cap}], got {n}")
-    return fibonacci_masks(n)
 
 
-def _chain_links(n: int) -> tuple[list[int], dict[int, int]]:
-    """The largest rank level of the length-n poset (ascending masks; the
-    lowest weight on ties), and each string's successor in a chain partition
-    with one chain through every string of that level.
-
-    The links are one maximum matching along cover edges per pair of
-    adjacent levels: upward from the lower level below the peak, downward
-    from the upper level from the peak on. Raises AssertionError unless
-    each matching saturates the level it starts from.
+def _augment(start: int, mate: dict[int, int], upward: bool, full: int,
+             seen: set[int]) -> bool:
+    """Extend a level pair's matching along an augmenting path from the free
+    string ``start``, rewriting ``mate`` (the other level's matched strings
+    to their partners); False if no path avoids ``seen``, which gathers the
+    strings reached. Neighbours set one more bit of ``full`` (``upward``) or
+    clear a bit, the highest first: the top bit crosses to the other half of
+    the strings, where the recursion leaves the free partners.
     """
-    levels: list[list[int]] = [[] for _ in range((n + 1) // 2 + 1)]
-    for b in _checked_masks(n, MAX_POSET_LENGTH):
-        levels[b.bit_count()].append(b)
-    index = {b: i for level in levels for i, b in enumerate(level)}
-    peak = max(range(len(levels)), key=lambda k: len(levels[k]))
-    full = (1 << n) - 1
-    up: dict[int, int] = {}
-    for k in range(len(levels) - 1):
-        upward = k < peak
-        left, right = (levels[k], levels[k + 1]) if upward else (levels[k + 1], levels[k])
-        adj = []  # adj[i]: positions in ``right`` of the strings one bit from left[i]
-        for b in left:
-            covers = []
-            rest = full & ~(b | b << 1 | b >> 1) if upward else b  # bits to set or clear
-            while rest:
-                low = rest & -rest
-                covers.append(index[b ^ low])
-                rest ^= low
-            adj.append(covers)
-        # edgeless left vertices up to the size of ``right``: one index range for both sides
-        match = hopcroft_karp(adj + [[]] * (len(right) - len(left)))[0][:len(left)]
-        if -1 in match:
+    stack = [[start, full & ~(start | start << 1 | start >> 1) if upward else start, 0]]
+    while stack:  # frames: a string on the path, its untried bits, the string it came by
+        frame = stack[-1]
+        if not frame[1]:
+            stack.pop()
+            continue
+        bit = 1 << frame[1].bit_length() - 1
+        frame[1] ^= bit
+        t = frame[0] ^ bit
+        if t in seen:
+            continue
+        seen.add(t)
+        s = mate.get(t)
+        if s is None:  # flip the path: each string is matched to the one it came by
+            for frame, after in zip(stack, stack[1:] + [[t, 0, t]]):
+                mate[after[2]] = frame[0]
+            return True
+        stack.append([s, full & ~(s | s << 1 | s >> 1) if upward else s, t])
+    return False
+
+
+def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int) -> int:
+    """Augment the links ``up`` between two adjacent levels to a maximum
+    matching from the free strings of the smaller level (the lower on ties);
+    returns the number of links added. Searches share their visited strings
+    in rounds, as a failed search's strings reach no free string while the
+    matching stays the same; a round retries the strings left free by the
+    last, until one adds nothing.
+    """
+    upward = len(lower) <= len(upper)
+    matched = {up[a]: a for a in lower if a in up}  # upper string: its lower partner
+    if upward:
+        mate, free = matched, [a for a in lower if a not in up]
+    else:
+        mate, free = up, [b for b in upper if b not in matched]
+    added = 0
+    while free:
+        seen: set[int] = set()
+        left = [s for s in free if not _augment(s, mate, upward, full, seen)]
+        if len(left) == len(free):
+            break
+        added += len(free) - len(left)
+        free = left
+    if upward:
+        up.update({a: b for b, a in matched.items()})
+    return added
+
+
+def _next_length(n: int, older: tuple, newer: tuple) -> tuple:
+    """``(levels, up, links)`` of length n from those of lengths n - 2 and
+    n - 1: the weight-k strings ascending, each string's successor, and the
+    link count of each pair of adjacent levels. Raises AssertionError unless
+    each pair's links cover its smaller level and the strings outnumber all
+    links by the largest level's size.
+    """
+    top = 1 << (n - 1)
+    (levels2, up2, links2), (levels1, up1, links1) = older, newer
+    levels = [low + [top | b for b in high]
+              for low, high in zip_longest(levels1, [[]] + levels2, fillvalue=[])]
+    links = [a + b for a, b in zip_longest(links1, [0] + links2, fillvalue=0)]
+    up = dict(up1)
+    up.update({top | a: top | b for a, b in up2.items()})
+    for k, count in enumerate(links):
+        lower, upper = levels[k], levels[k + 1]
+        need = min(len(lower), len(upper))
+        if count < need:
+            count = links[k] = count + _fill_pair(up, lower, upper, 2 * top - 1)
+        if count < need:
+            small = k if len(lower) <= len(upper) else k + 1
             raise AssertionError(
-                f"rank level {k if upward else k + 1} has {match.count(-1)} strings"
-                f" left free by its matching with level {k + 1 if upward else k}"
+                f"rank level {small} has {need - count} strings left free"
+                f" by its matching with level {2 * k + 1 - small}"
             )
-        matched = map(right.__getitem__, match)
-        up.update(zip(left, matched) if upward else zip(matched, left))
-    return levels[peak], up
+    if sum(map(len, levels)) - len(up) != max(map(len, levels)):
+        raise AssertionError(f"the links of length {n} leave more chains than the largest level")
+    return levels, up, links
+
+
+def antichain_sweep(max_n: int) -> Iterator[tuple[int, list[int], dict[int, int]]]:
+    """Yield ``(n, peak, up)`` for n = 1..max_n, each certified by
+    ``_next_length`` before it is yielded: ``peak`` is the largest rank level
+    (ascending masks; the lower weight on ties), and ``up`` maps each string
+    to its successor in a chain partition with one chain through every
+    string of ``peak``. Only the two latest lengths are held.
+    """
+    _check_length(max_n, MAX_POSET_LENGTH)
+    older = newer = ([[0]], {}, [])  # the empty string stands for lengths -1 and 0
+    for n in range(1, max_n + 1):
+        older, newer = newer, _next_length(n, older, newer)
+        levels, up, _ = newer
+        yield n, max(levels, key=len), up
+
+
+def antichain_sizes(lo: int, hi: int) -> list[int]:
+    """The certified maxima m_n for n = lo..hi, read off one sweep; [] when
+    lo > hi. Either end outside [1, MAX_POSET_LENGTH] raises ValueError."""
+    if lo > hi:
+        return []
+    _check_length(lo, MAX_POSET_LENGTH)
+    return [len(level) for n, level, _ in antichain_sweep(hi) if n >= lo]
 
 
 @dataclass(frozen=True)
@@ -99,12 +178,13 @@ def max_antichain(n: int) -> AntichainResult:
 
     The witness and size are the largest rank level, the lowest weight when
     levels tie, in lexicographic order. Its optimality is certified by the
-    level matchings: each must saturate the level it starts from, so that
-    the glued chains are as many as the level's strings and bound every
-    antichain; anything else raises. The witness is also re-checked to be
-    distinct strings of one weight before it is returned.
+    level matchings of every length up to n: each must cover the smaller of
+    its two levels, so that the glued chains are as many as the level's
+    strings and bound every antichain; anything else raises. The witness is
+    also re-checked to be distinct strings of one weight before it is
+    returned.
     """
-    level, _ = _chain_links(n)
+    _, level, _ = deque(antichain_sweep(n), maxlen=1).pop()
     _verify_antichain(level)
     return AntichainResult(n, len(level), tuple(BitString(n, b) for b in level))
 
@@ -114,7 +194,7 @@ def minimum_chain_cover(n: int) -> list[list[BitString]]:
     ascending dominance order: the certified level matchings glued into one
     chain through each string of the largest level, so their number equals
     the maximum antichain."""
-    _, up = _chain_links(n)
+    _, _, up = deque(antichain_sweep(n), maxlen=1).pop()
     reached = set(up.values())
     chains = []
     for b in fibonacci_masks(n):
@@ -129,7 +209,8 @@ def minimum_chain_cover(n: int) -> list[list[BitString]]:
 
 def max_antichain_oracle(n: int) -> int:
     """Independent route: maximum clique of the incomparability relation."""
-    bits = _checked_masks(n, ORACLE_MAX_LENGTH)
+    _check_length(n, ORACLE_MAX_LENGTH)
+    bits = fibonacci_masks(n)
 
     def incomparable(i: int, j: int) -> bool:
         a, b = bits[i], bits[j]

@@ -374,3 +374,15 @@ def test_cli_sperner_names_its_cap_for_every_n(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "n must be in [1, 20], got 0" in captured.err, argv
+
+
+def test_cli_range_ends_name_their_cap(capsys):
+    for argv, message in ((["report", "--n-range", "0..5"], "n must be in [1, 512], got 0"),
+                          (["report", "--n-range", "5..513"], "n must be in [1, 512], got 513"),
+                          (["sperner", "--n-range", "0..21"], "n must be in [1, 20], got 0"),
+                          (["sperner", "--n-range", "5..21"], "n must be in [1, 20], got 21"),
+                          (["sperner", "--n", "21"], "n must be in [1, 20], got 21")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"skewlab: error: {message}\n", argv

@@ -9,7 +9,6 @@ from skewlab import sperner
 from skewlab.bitstring import comparable, is_fibonacci, leq, weight
 from skewlab.constructions import enumerate_fibonacci, fibonacci_masks
 from skewlab.counting import fibonacci_count
-from skewlab.solver import hopcroft_karp
 from skewlab.sperner import (
     max_antichain,
     max_antichain_oracle,
@@ -103,16 +102,34 @@ def test_chain_cover_partitions_poset():
 
 
 def test_level_matchings_saturate_the_smaller_level():
-    for n in range(1, 21):
-        level, up = sperner._chain_links(n)
+    for n, level, up in sperner.antichain_sweep(20):
         sizes = [math.comb(n + 1 - k, k) for k in range((n + 1) // 2 + 1)]
         assert len(level) == max(sizes) and level[0].bit_count() == sizes.index(max(sizes))
         assert len(set(up.values())) == len(up)  # one successor and one predecessor each
         links = [0] * len(sizes)  # links[k]: matched pairs between levels k and k + 1
         for a, b in up.items():  # a cover edge: b is a with one more bit set
             assert a & ~b == 0 and (a ^ b).bit_count() == 1, (n, a, b)
+            assert b & (b >> 1) == 0 and b < 1 << n, (n, b)
             links[a.bit_count()] += 1
         assert links[:-1] == [min(p, q) for p, q in zip(sizes, sizes[1:])], n
+
+
+def test_sweep_peaks_are_the_largest_bucketed_levels():
+    for n, level, _ in sperner.antichain_sweep(20):
+        levels = [[] for _ in range(n + 1)]
+        for b in fibonacci_masks(n):
+            levels[b.bit_count()].append(b)
+        assert level == max(levels, key=len), n  # the first largest: the lower weight
+
+
+def test_sweep_certifies_lengths_past_the_cap(monkeypatch):
+    # the cap guards the printed tables, not the certificate: the same
+    # sweep certifies n = 21..26, where the peak is still the largest level
+    monkeypatch.setattr(sperner, "MAX_POSET_LENGTH", 26)
+    sizes = {n: len(level) for n, level, _ in sperner.antichain_sweep(26)}
+    for n in range(21, 27):
+        assert sizes[n] == max(math.comb(n + 1 - k, k) for k in range(n + 1)), n
+    assert sizes[26] == 77520
 
 
 def test_antichain_size_is_the_largest_binomial_level():
@@ -121,14 +138,14 @@ def test_antichain_size_is_the_largest_binomial_level():
 
 
 def test_certificate_check_fires(monkeypatch):
-    # a level matching that leaves one string of the smaller level free
-    def one_short(adj):
-        match_left, match_right = hopcroft_karp(adj)
-        match_left[0] = -1  # a string of the level the matching starts from
-        return match_left, match_right
+    # an augmenting step that never extends the matching from one string
+    augment = sperner._augment
 
-    monkeypatch.setattr(sperner, "hopcroft_karp", one_short)
-    with pytest.raises(AssertionError, match="left free"):
+    def one_short(start, mate, upward, full, seen):
+        return start != 0b1 and augment(start, mate, upward, full, seen)
+
+    monkeypatch.setattr(sperner, "_augment", one_short)
+    with pytest.raises(AssertionError, match="rank level 1 has 1 strings left free"):
         max_antichain(5)
     with pytest.raises(AssertionError, match="left free"):
         minimum_chain_cover(5)

@@ -1,5 +1,6 @@
 """Counting engine: DP against enumeration, exact identities, sampler."""
 
+import hashlib
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -20,11 +21,12 @@ from skewlab.counting import (
     floor_pow2,
     floor_pow2_upto,
     gamma_distribution,
+    gamma_distribution_sweep,
     gamma_distributions_upto,
     monte_carlo_tail,
     tail_probability,
 )
-from skewlab.counting import _LANES, _SEED_BITS, _SLOT_BITS, _SLOT_SUM, _slot_sum
+from skewlab.counting import _LANES, _SEED_BITS, _SLOT_BITS, _SLOT_BYTES, _SLOT_SUM, _slot_sum
 from tables import (
     COUNT_C,
     CROSSOVER_N,
@@ -86,6 +88,19 @@ def test_slot_fold_equals_residue():
     ]
     for x in boundary:
         assert _slot_sum(x) == x % _SLOT_SUM, x
+
+
+# SHA-256 of every packed distribution of gamma_distribution_sweep(512), each
+# as 2n + 1 little-endian slots, concatenated; recorded from the 10-operation
+# DP step that carried state s01 before the step was shortened
+SWEEP_512_SHA256 = "48dd67c3ec16ce8a6dda4a6511025c2166afdfbe47e211fb92beb7de907262ca"
+
+
+def test_sweep_to_the_cap_is_pinned():
+    digest = hashlib.sha256()
+    for dist in gamma_distribution_sweep(512):
+        digest.update(dist.packed.to_bytes(_SLOT_BYTES * (2 * dist.n + 1), "little"))
+    assert digest.hexdigest() == SWEEP_512_SHA256
 
 
 def test_single_distribution_equals_sweep_entry():

@@ -1,6 +1,7 @@
 """Table rendering, CSV round-trips, and the command-line surface."""
 
 import csv
+import hashlib
 import io
 import json
 import tracemalloc
@@ -113,6 +114,28 @@ def test_tables_stream_the_sweep(monkeypatch):
     assert len(theorem.rows) == 512 and summary.rows[-1][0] == 512
     # the 512 distributions held at once take 17 MB; streamed, under 1 MB
     assert peak < 4 << 20, peak
+
+
+# exit code and stdout SHA-256 of the counting-heavy commands at their caps,
+# recorded before the bound roots, the DP step and the sampler's lane sum
+# were rewritten
+COUNTING_AT_THE_CAPS = {
+    "report --table theorem --max-n 512 --format csv":
+        (0, "753a242c5e8839e09d2b921134a3058941450260188cbe6159e9525b5f12ca68"),
+    "crossover --max-n 512":
+        (0, "f15bfa977df2396adc2c608a250fbf4cbee8f70641045c0d3df82234758f52b5"),
+    "gamma-dist --n 512 --format csv":
+        (0, "1848d545afbedbe14a5e756bf2da28b66562e5530ed3c9c71509e6fdca447e7b"),
+    "montecarlo --n 64 --samples 1000000 --seed 101":
+        (0, "6b56a488c12e3bc3d83ef0a2787bf0bc7f2ac194149ddfd3befc8d0467b82fa1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COUNTING_AT_THE_CAPS))
+def test_counting_commands_at_the_caps_are_pinned(capsys, command):
+    code, digest = COUNTING_AT_THE_CAPS[command]
+    assert main(command.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_summary_table_columns():

@@ -4,9 +4,10 @@ The central tool is a left-to-right dynamic program over string positions.
 Its state is the last two chosen bits; each of the four states holds the
 counts of all prefixes by the total gamma contribution of their finished
 positions, packed into one big integer (Kronecker substitution: the count
-for total v sits in slot v, _SLOT_BITS wide). A step of the program is one
-shift-and-add per state, a tail count is one shift and a fold of the slots,
+for total v sits in slot v, _SLOT_BITS wide). A step of the program is
+eight shifts and adds, a tail count is one shift and a fold of the slots,
 and no string is ever materialized, so it runs comfortably up to n = 512.
+A column of bounds floor(2^(an/k)) takes one exact k-th root.
 
 The sampler checks the tail against uniform draws from the SplitMix64
 stream. ``SplitMix64`` is the stream's readable definition; the sampler
@@ -44,10 +45,13 @@ _SM64_MIX2 = 0x94D049BB133111EB
 # multiplier stays inside its lane.
 _LANES = 2048
 _LANE_BITS = 128
+_LANE_BYTE_SUM = ((1 << _LANE_BITS) - 1) // 0xFF  # 1 in each of a lane's 16 bytes
 
 # The widest root a float log2 estimate seeds to within a few units: the
-# coarsest level of floor_kth_root's precision ladder.
+# coarsest level of floor_kth_root's precision ladder. floor_pow2_upto's
+# brackets keep _ROOT_GUARD_BITS bits below the binary point.
 _SEED_BITS = 32
+_ROOT_GUARD_BITS = 64
 
 
 class CrossoverNotFoundError(ValueError):
@@ -112,15 +116,19 @@ def gamma_distribution_sweep(max_n: int) -> Iterator[GammaDistribution]:
     shift adds 1 to every total. Choosing bit c at position i+1 finishes
     position i with B + [A = 1 or c = 1]; for c = 0 that is B + A, as at the
     end of a length-i string, so length i's distribution is s00 + s10 then.
+    Its successor s01 is that distribution shifted one slot, so the step
+    keeps the last two distributions (prev, cur) instead of s01.
     """
     if not 1 <= max_n <= MAX_DP_LENGTH:
         raise ValueError(f"n must be in [1, {MAX_DP_LENGTH}], got {max_n}")
-    w = _SLOT_BITS
-    s00, s01, s10, s11 = 1, 1, 0, 0  # positions 0 (an implicit 0) and 1
-    for n in range(1, max_n + 1):
-        s00, s01, s10, s11 = (s00 + (s10 << w), (s00 + s10) << w,
-                              (s01 << w) + (s11 << 2 * w), (s01 + s11) << 2 * w)
-        yield GammaDistribution(n, s00 + s10)
+    w, w2 = _SLOT_BITS, 2 * _SLOT_BITS
+    s00, s10, s11 = 1, 1 << w, 1 << w2  # after position 1 (position 0 is an implicit 0)
+    prev, cur = 1, 1 + (1 << w)  # lengths 0 and 1
+    yield GammaDistribution(1, cur)
+    for n in range(2, max_n + 1):
+        s00, s10, s11 = s00 + (s10 << w), (prev + s11) << w2, ((prev << w) + s11) << w2
+        prev, cur = cur, s00 + s10
+        yield GammaDistribution(n, cur)
 
 
 def gamma_distributions_upto(max_n: int) -> list[GammaDistribution]:
@@ -216,39 +224,41 @@ def floor_pow2(numerator: int, denominator: int) -> int:
     of the reduced fraction (69n/100 at n = 50 is a 2nd root, not a 100th)."""
     if denominator < 1 or numerator < 0:
         raise ValueError("exponent must be a nonnegative rational")
-    q, r = divmod(numerator, denominator)
-    if r == 0:
-        return 1 << q
     g = math.gcd(numerator, denominator)
-    return floor_kth_root(1 << (numerator // g), denominator // g)
+    return floor_kth_root(1 << numerator // g, denominator // g)
 
 
 def ceil_pow2(numerator: int, denominator: int) -> int:
     """ceil(2**(numerator/denominator)), exactly."""
-    f = floor_pow2(numerator, denominator)
-    q, r = divmod(numerator, denominator)
-    return f if r == 0 else f + 1
+    return floor_pow2(numerator, denominator) + (numerator % denominator != 0)
 
 
 def floor_pow2_upto(numerator: int, denominator: int, max_n: int) -> list[int]:
-    """floor(2**(numerator*n/denominator)) for n = 1..max_n, with one root per
-    residue class of numerator*n modulo denominator.
+    """floor(2**(numerator*n/denominator)) for n = 1..max_n, from one exact root.
 
-    Exponents in one class differ by whole numbers, so each n takes the root
-    of its class's largest member m, shifted right by numerator*(m - n)/
-    denominator bits; that is exact, as floor(floor(z) / 2^j) = floor(z / 2^j).
+    With a/k the reduced fraction and p = floor(a*max_n/k) + _ROOT_GUARD_BITS,
+    the k-th root r = floor(2^(1/k) * 2^p) has r <= 2^(1/k) * 2^p < r + 1, so
+    floor products lo_j = floor(lo_(j-1) * r / 2^p) and ceiling products
+    hi_j = ceil(hi_(j-1) * (r + 1) / 2^p), from lo_0 = hi_0 = 2^p, bracket
+    2^(j/k) * 2^p for j < k. With q, j = divmod(a*n, k), floor(2^(an/k)) lies
+    between lo_j >> p-q and hi_j >> p-q; where they differ, floor_pow2 takes
+    the root itself. Either way each bound is a proven floor.
     """
     if denominator < 1 or numerator < 0:
         raise ValueError("exponent must be a nonnegative rational")
-    tops: dict[int, tuple[int, int]] = {}  # residue -> (exponent, floor) of its largest n
+    g = math.gcd(numerator, denominator)
+    a, k = numerator // g, denominator // g  # k = 1 makes exact powers of two
+    p = a * max_n // k + _ROOT_GUARD_BITS
+    r = floor_kth_root(1 << 1 + k * p, k)
+    lo, hi = [1 << p], [1 << p]
+    for _ in range(k - 1):
+        lo.append(lo[-1] * r >> p)
+        hi.append(-(-hi[-1] * (r + 1) >> p))
     bounds = []
-    for n in range(max_n, 0, -1):
-        e = numerator * n
-        if e % denominator not in tops:
-            tops[e % denominator] = e, floor_pow2(e, denominator)
-        top, root = tops[e % denominator]
-        bounds.append(root >> (top - e) // denominator)
-    bounds.reverse()
+    for n in range(1, max_n + 1):
+        q, j = divmod(a * n, k)
+        f = lo[j] >> p - q
+        bounds.append(f if f == hi[j] >> p - q else floor_pow2(a * n, k))
     return bounds
 
 
@@ -323,16 +333,36 @@ class SplitMix64:
 
 
 @lru_cache(maxsize=1)
-def _lane_constants() -> tuple[int, ...]:
-    """The kernel's per-lane constants, built on first use: ONES (1 at the
-    bottom of every lane), STEPS ((t + 1) times the increment in lane t, below
-    2^77), M64 (2^64 - 1 in every lane), the 0x55/0x33/0x0F popcount masks
-    across the whole block and 0xFF in the low byte of every lane."""
+def _lane_constants(n: int) -> tuple[int, ...]:
+    """The kernel's constants for length-n draws, built on first use: ONES (1
+    at the bottom of every lane), STEPS ((t + 1) times the increment in lane
+    t, below 2^77), STRIDE and M64 (_LANES increments mod 2^64, and 2^64 - 1,
+    in every lane), the low n bits of each lane and those bits 64 higher,
+    127 - n in each top byte, the 0x55/0x33/0x0F popcount masks across the
+    whole block and bit 127 of every lane."""
     full = (1 << _LANE_BITS * _LANES) - 1
     ones = full // ((1 << _LANE_BITS) - 1)
     counter = b"".join(t.to_bytes(_LANE_BITS // 8, "little") for t in range(1, _LANES + 1))
     steps = int.from_bytes(counter, "little") * _SM64_INCREMENT
-    return ones, steps, _MASK64 * ones, full // 3, full // 5, full // 17, 0xFF * ones
+    low = ((1 << n) - 1) * ones
+    return (ones, steps, (_LANES * _SM64_INCREMENT & _MASK64) * ones, _MASK64 * ones, low,
+            low << 64, (127 - n) * ones << 120, full // 3, full // 5, full // 17, ones << 127)
+
+
+def _lanes_above(x: int, n: int) -> int:
+    """How many lanes of x, a block of draws masked to n bits, have gamma > n.
+
+    Each lane holds its draw in the low half and the draw's influence in the
+    high half; a SWAR stage leaves each byte's popcount (at most 8) in the
+    byte. Times _LANE_BYTE_SUM, each byte is added into the 15 above it with
+    no carry, as a product byte sums 16 of them, so a lane's top byte holds
+    its gamma <= 2n <= 128, and adding 127 - n sets bit 127 iff gamma > n."""
+    *_, infl_mask, bias, m55, m33, m0f, tops = _lane_constants(n)
+    v = x | ((x << 65 | x << 63) & infl_mask)
+    v -= (v >> 1) & m55
+    v = (v & m33) + ((v >> 2) & m33)
+    v = (v + (v >> 4)) & m0f
+    return ((v * _LANE_BYTE_SUM + bias) & tops).bit_count()
 
 
 def monte_carlo_tail(n: int, samples: int, seed: int) -> TailEstimate:
@@ -343,38 +373,26 @@ def monte_carlo_tail(n: int, samples: int, seed: int) -> TailEstimate:
     implementation of that stream. The stream is evaluated _LANES draws at a
     time, one draw per _LANE_BITS-wide lane of a single integer: the step,
     the finalizer and the gamma test are whole-integer adds, shifts, masks
-    and multiplications by 64-bit constants, none of which carries across a
-    lane, and one ``bit_count`` counts a block's draws with gamma > n.
+    and multiplications by constants, none of which carries across a lane,
+    and one ``bit_count`` counts a block's draws with gamma > n.
     """
     if not 1 <= n <= MAX_SAMPLING_LENGTH:
         raise ValueError(f"n must be in [1, {MAX_SAMPLING_LENGTH}], got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_seed(seed)
-    ones, steps, m64, m55, m33, m0f, m_low_byte = _lane_constants()
-    lane_mask = ((1 << n) - 1) * ones
-    bias = (255 - n) * ones  # a lane's gamma + bias reaches 256 iff gamma > n
+    ones, steps, stride, m64, lane_mask = _lane_constants(n)[:5]
+    state = (steps + seed * ones) & m64  # lane t: the state after t + 1 steps
     above = 0
     for done in range(0, samples, _LANES):
-        # lane t: state after done + t + 1 steps, then the SplitMix64 finalizer
-        z = (steps + ((seed + done * _SM64_INCREMENT) & _MASK64) * ones) & m64
-        z = ((z ^ (z >> 30)) & m64) * _SM64_MIX1 & m64
+        # the SplitMix64 finalizer, then the state _LANES steps on
+        z = ((state ^ (state >> 30)) & m64) * _SM64_MIX1 & m64
         z = ((z ^ (z >> 27)) & m64) * _SM64_MIX2 & m64
+        state = (state + stride) & m64
         x = (z ^ (z >> 31)) & lane_mask
-        # the draw in the low half of its lane, its influence in the high half
-        v = x | (((x << 1) | (x >> 1)) & lane_mask) << 64
-        # SWAR popcount: 2-, 4-, 8-bit sums, then the lane's 16 bytes into its low byte
-        v -= (v >> 1) & m55
-        v = (v & m33) + ((v >> 2) & m33)
-        v = (v + (v >> 4)) & m0f
-        v += v >> 8
-        v += v >> 16
-        v += v >> 32
-        v += v >> 64
-        v = (((v & m_low_byte) + bias) >> 8) & ones
         if samples - done < _LANES:
-            v &= (1 << _LANE_BITS * (samples - done)) - 1
-        above += v.bit_count()
+            x &= (1 << _LANE_BITS * (samples - done)) - 1
+        above += _lanes_above(x, n)
     estimate = (samples - above) / samples
     stderr = math.sqrt(estimate * (1.0 - estimate) / samples)
     return TailEstimate(n, samples, seed, estimate, stderr)

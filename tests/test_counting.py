@@ -26,7 +26,17 @@ from skewlab.counting import (
     monte_carlo_tail,
     tail_probability,
 )
-from skewlab.counting import _LANES, _SEED_BITS, _SLOT_BITS, _SLOT_BYTES, _SLOT_SUM, _slot_sum
+from skewlab import counting
+from skewlab.counting import (
+    _LANE_BITS,
+    _LANES,
+    _SEED_BITS,
+    _SLOT_BITS,
+    _SLOT_BYTES,
+    _SLOT_SUM,
+    _lanes_above,
+    _slot_sum,
+)
 from tables import (
     COUNT_C,
     CROSSOVER_N,
@@ -265,13 +275,59 @@ def test_floor_pow2_on_reducible_fractions():
             assert r ** den <= 2 ** num < (r + 1) ** den, (num, den)
 
 
-def test_batched_pow2_bounds_match_per_n():
-    for num, den in ((24, 25), (69, 100), (694, 1000), (1, 2), (3, 1)):
+BOUND_FRACTIONS = ((24, 25), (69, 100), (694, 1000), (1, 2), (3, 1), (0, 7))
+
+
+def assert_batched_bounds_match_per_n():
+    for num, den in BOUND_FRACTIONS:
         floors = [floor_pow2(num * n, den) for n in range(1, 513)]
         ceils = [ceil_pow2(num * n, den) for n in range(1, 513)]
         assert floor_pow2_upto(num, den, 512) == floors, (num, den)
         assert ceil_pow2_upto(num, den, 512) == ceils, (num, den)
+
+
+def test_batched_pow2_bounds_match_per_n():
+    assert_batched_bounds_match_per_n()
     assert floor_pow2_upto(24, 25, 0) == ceil_pow2_upto(24, 25, 0) == []
+
+
+def spy_on_roots(monkeypatch) -> dict[str, int]:
+    """Count the calls floor_pow2_upto makes to the module's root functions."""
+    calls = {"floor_kth_root": 0, "floor_pow2": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(counting, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(counting, name, counted)
+    return calls
+
+
+def test_batched_bounds_take_one_root_per_column(monkeypatch):
+    calls = spy_on_roots(monkeypatch)
+    for num, den in ((24, 25), (69, 100)):  # the theorem table's two columns
+        floor_pow2_upto(num, den, 512)
+        ceil_pow2_upto(num, den, 512)
+    assert calls == {"floor_kth_root": 4, "floor_pow2": 0}
+
+
+def test_ambiguous_brackets_fall_back_to_exact_roots(monkeypatch):
+    # with no guard bits the brackets straddle integers near max_n, so some
+    # bounds come from floor_pow2; every bound must still be the exact floor
+    monkeypatch.setattr(counting, "_ROOT_GUARD_BITS", 0)
+    assert_batched_bounds_match_per_n()
+    calls = spy_on_roots(monkeypatch)
+    for num, den in ((24, 25), (69, 100), (694, 1000)):
+        calls["floor_pow2"] = 0
+        floor_pow2_upto(num, den, 512)
+        assert calls["floor_pow2"] > 0, (num, den)
+    # short columns keep p small, so a bracket that is not a true
+    # floor/ceiling pair would show as a wrong bound
+    for guard in range(4):
+        monkeypatch.setattr(counting, "_ROOT_GUARD_BITS", guard)
+        for num, den in BOUND_FRACTIONS + ((2, 3), (5, 7)):
+            for max_n in range(1, 80):
+                expected = [floor_pow2(num * n, den) for n in range(1, max_n + 1)]
+                assert floor_pow2_upto(num, den, max_n) == expected, (num, den, guard, max_n)
 
 
 def test_crossover_scan_value():
@@ -334,6 +390,31 @@ def test_monte_carlo_stream_across_block_boundaries():
             for samples in (1, _LANES - 1, _LANES, _LANES + 1, longest):
                 est = monte_carlo_tail(n, samples, seed)
                 assert est.estimate == sum(passed[:samples]) / samples, (n, samples, seed)
+
+
+def lane_block(draws: list[int]) -> int:
+    """One block with draws[t] in lane t; the lanes after the last are 0."""
+    return int.from_bytes(b"".join(d.to_bytes(_LANE_BITS // 8, "little") for d in draws), "little")
+
+
+def test_lane_sum_at_its_extremes():
+    """The block test counts the lanes with gamma > n, as gamma_bits does,
+    for all ones (gamma 2n, 128 at n = 64), all zeros, the two alternating
+    strings and a lone top or bottom bit, in uniform blocks, in blocks that
+    mix them lane by lane, and in partial last blocks; and for runs of ones
+    from bit 0 or bit 1, whose gammas include n and, for n > 2, n + 1."""
+    for n in (1, 2, 63, 64):
+        mask = (1 << n) - 1
+        patterns = [mask, 0, mask & 0x5555555555555555, mask & 0xAAAAAAAAAAAAAAAA, 1 << n - 1, 1]
+        blocks = [[p] * _LANES for p in patterns]
+        blocks += [[p] * (_LANES - 3) for p in patterns]
+        blocks += [[patterns[t % 6] for t in range(lanes)] for lanes in (_LANES, 1, 7)]
+        blocks += [[patterns[t // 2 % 6] for t in range(_LANES - 1)]]
+        blocks += [[(1 << j) - 1 << shift & mask for j in range(n + 1) for shift in (0, 1)]]
+        for draws in blocks:
+            expected = sum(gamma_bits(d, n) > n for d in draws)
+            assert _lanes_above(lane_block(draws), n) == expected, (n, draws[:2], len(draws))
+    assert gamma_bits((1 << 64) - 1, 64) == 128
 
 
 def test_monte_carlo_frozen_hit_counts():

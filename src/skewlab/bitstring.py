@@ -14,8 +14,9 @@ only when it is handed out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
+
+from .record import Record
 
 MAX_LENGTH = 64
 
@@ -61,18 +62,18 @@ def submasks(free: int, low: int = 0) -> Iterator[int]:
             return
 
 
-@dataclass(frozen=True)
-class BitString:
+class BitString(Record):
     """An immutable binary word of fixed length."""
 
-    length: int
-    bits: int
+    __slots__ = ("length", "bits")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.length <= MAX_LENGTH:
-            raise ValueError(f"length must be in [1, {MAX_LENGTH}], got {self.length}")
-        if not 0 <= self.bits < 1 << self.length:
-            raise ValueError(f"bits 0b{self.bits:b} out of range for length {self.length}")
+    def __init__(self, length: int, bits: int) -> None:
+        if not 1 <= length <= MAX_LENGTH:
+            raise ValueError(f"length must be in [1, {MAX_LENGTH}], got {length}")
+        if not 0 <= bits < 1 << length:
+            raise ValueError(f"bits 0b{bits:b} out of range for length {length}")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_string(cls, literal: str) -> BitString:
@@ -173,20 +174,20 @@ def all_strings(n: int) -> Iterator[BitString]:
         yield BitString(n, bits)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A set of distinct binary strings of one common length, held as the
     ascending tuple of their masks."""
 
-    length: int
-    masks: tuple[int, ...]
+    __slots__ = ("length", "masks")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.length <= MAX_LENGTH:
-            raise ValueError(f"length must be in [1, {MAX_LENGTH}], got {self.length}")
-        bounds = (-1,) + self.masks + (1 << self.length,)
+    def __init__(self, length: int, masks: tuple[int, ...]) -> None:
+        if not 1 <= length <= MAX_LENGTH:
+            raise ValueError(f"length must be in [1, {MAX_LENGTH}], got {length}")
+        bounds = (-1,) + masks + (1 << length,)
         if not all(a < b for a, b in zip(bounds, bounds[1:])):
-            raise ValueError(f"masks must be strictly ascending in [0, 2^{self.length})")
+            raise ValueError(f"masks must be strictly ascending in [0, 2^{length})")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def from_literals(cls, literals: list[str], length: int | None = None) -> Family:

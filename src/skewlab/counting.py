@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
+
+from .record import Record
 
 MAX_DP_LENGTH = 512
 MAX_SAMPLING_LENGTH = 64
@@ -76,13 +77,15 @@ def _slot_sum(x: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class GammaDistribution:
+class GammaDistribution(Record):
     """Exact counts of length-n strings by their gamma value, packed: the
     count for gamma = v is slot v of ``packed``, _SLOT_BITS wide."""
 
-    n: int
-    packed: int
+    __slots__ = ("n", "packed")
+
+    def __init__(self, n: int, packed: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "packed", packed)
 
     @property
     def counts(self) -> dict[int, int]:
@@ -292,15 +295,18 @@ def crossover_scan(max_n: int) -> int:
     return last_violation + 1
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(Record):
     """Monte Carlo estimate of the probability that gamma <= n."""
 
-    n: int
-    samples: int
-    seed: int
-    estimate: float
-    standard_error: float
+    __slots__ = ("n", "samples", "seed", "estimate", "standard_error")
+
+    def __init__(self, n: int, samples: int, seed: int, estimate: float,
+                 standard_error: float) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "estimate", estimate)
+        object.__setattr__(self, "standard_error", standard_error)
 
 
 class SplitMix64:

@@ -2,23 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .record import Record
 
 MAX_VERTICES = 4096
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Sizes of the parts of a complete multipartite graph."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        if len(self.parts) < 1:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if len(parts) < 1:
             raise ValueError("a partition needs at least one part")
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"every part must be >= 1, got {self.parts}")
+        if any(p < 1 for p in parts):
+            raise ValueError(f"every part must be >= 1, got {parts}")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def total(self) -> int:
@@ -43,6 +44,8 @@ class Graph:
     __slots__ = ("vertex_count", "_rows")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
+        # checked before ``edges`` is read: the generators below pass their edges
+        # lazily, so an oversized graph is refused before any edge exists
         if not 1 <= vertex_count <= MAX_VERTICES:
             raise ValueError(
                 f"vertex_count must be in [1, {MAX_VERTICES}], got {vertex_count}"
@@ -120,7 +123,7 @@ def path(n: int) -> Graph:
     """Path on n vertices: edges (i, i+1), no loops."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def complete_multipartite(p: Partition | Sequence[int]) -> Graph:
@@ -132,10 +135,8 @@ def complete_multipartite(p: Partition | Sequence[int]) -> Graph:
     for size in part.parts:
         bounds.append((start, start + size))
         start += size
-    edges = []
-    for a, (s1, e1) in enumerate(bounds):
-        for s2, e2 in bounds[a + 1 :]:
-            edges += [(u, v) for u in range(s1, e1) for v in range(s2, e2)]
+    edges = ((u, v) for a, (s1, e1) in enumerate(bounds) for s2, e2 in bounds[a + 1 :]
+             for u in range(s1, e1) for v in range(s2, e2))
     return Graph(part.total, edges)
 
 
@@ -143,7 +144,7 @@ def all_loops(n: int) -> Graph:
     """n vertices whose only edges are a loop at every vertex."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Graph(n, [(u, u) for u in range(n)])
+    return Graph(n, ((u, u) for u in range(n)))
 
 
 def skew_alphabet() -> Graph:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .counting import (
@@ -23,21 +22,22 @@ from .counting import (
     floor_pow2_upto,
     gamma_distribution_sweep,
 )
+from .record import Record
 from .solver import EXACT_M_DEFAULT_CAP, exact_M
 from .sperner import MAX_POSET_LENGTH, antichain_sizes, max_antichain
 
 FORMATS = ("csv", "json", "markdown")
 
 
-@dataclass(frozen=True)
-class Table:
-    columns: tuple[str, ...]
-    rows: tuple[tuple[object, ...], ...]
+class Table(Record):
+    __slots__ = ("columns", "rows")
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
+    def __init__(self, columns: tuple[str, ...], rows: tuple[tuple[object, ...], ...]) -> None:
+        for row in rows:
+            if len(row) != len(columns):
                 raise ValueError("row width does not match column count")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
 
 
 def _cell_text(value: object) -> str:
@@ -185,14 +185,17 @@ def summary_table(n_lo: int, n_hi: int) -> Table:
     return Table(columns, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(Record):
     """The two-sided bracket on the exact skewincidence maximum at one n."""
 
-    n: int
-    construction_size: int
-    exact_size: int
-    upper_bound: int
+    __slots__ = ("n", "construction_size", "exact_size", "upper_bound")
+
+    def __init__(self, n: int, construction_size: int, exact_size: int,
+                 upper_bound: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "construction_size", construction_size)
+        object.__setattr__(self, "exact_size", exact_size)
+        object.__setattr__(self, "upper_bound", upper_bound)
 
     @property
     def ok(self) -> bool:

@@ -31,11 +31,11 @@ import json
 import operator
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitstring import BitString, submasks
 from .graphs import Graph, Partition, as_partition, path
+from .record import Record
 
 MAX_ELEMENTS = 4096
 # H holds one 2^n-bit row per vertex subset: 2 MB of rows at 12 vertices
@@ -55,8 +55,7 @@ def _union(bitsets: Iterable[int]) -> int:
     return functools.reduce(operator.or_, bitsets, 0)
 
 
-@dataclass(frozen=True)
-class CliqueInstance:
+class CliqueInstance(Record):
     """A symmetric relation over element indices, as bitset adjacency rows.
 
     Symmetry (bit j of rows[i] iff bit i of rows[j]) is a precondition that
@@ -64,17 +63,18 @@ class CliqueInstance:
     it builds the complement and raises ValueError when it fails.
     """
 
-    count: int
-    rows: tuple[int, ...]
+    __slots__ = ("count", "rows")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.count <= MAX_ELEMENTS:
-            raise ValueError(f"element count must be in [1, {MAX_ELEMENTS}], got {self.count}")
-        if len(self.rows) != self.count:
+    def __init__(self, count: int, rows: tuple[int, ...]) -> None:
+        if not 1 <= count <= MAX_ELEMENTS:
+            raise ValueError(f"element count must be in [1, {MAX_ELEMENTS}], got {count}")
+        if len(rows) != count:
             raise ValueError("rows length must equal element count")
-        for i, row in enumerate(self.rows):
-            if row >> self.count or row >> i & 1:
-                raise ValueError(f"row {i} holds itself or an index outside [0, {self.count})")
+        for i, row in enumerate(rows):
+            if row >> count or row >> i & 1:
+                raise ValueError(f"row {i} holds itself or an index outside [0, {count})")
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_relation(cls, count: int, relation: Callable[[int, int], bool]) -> CliqueInstance:
@@ -111,14 +111,17 @@ class CliqueInstance:
         return self.rows[i] >> j & 1 == 1
 
 
-@dataclass
-class ExtremalResult:
-    """Size and witness of an exact extremal computation."""
+class ExtremalResult(Record):
+    """Size and witness of an exact extremal computation; ``method`` is
+    "branch-and-bound" or "enumeration"."""
 
-    size: int
-    witness: list
-    method: str  # "branch-and-bound" | "enumeration"
-    elapsed_ms: float = 0.0
+    __slots__ = ("size", "witness", "method", "elapsed_ms")
+
+    def __init__(self, size: int, witness: list, method: str, elapsed_ms: float = 0.0) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
 def _greedy_color_order(p: int, rows: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -486,6 +489,12 @@ def _subset_family(g: Graph) -> ExtremalResult:
     return ExtremalResult(size, witness, "branch-and-bound", elapsed)
 
 
+def _relabel(result: ExtremalResult, label: Callable[[int], object]) -> ExtremalResult:
+    """The same result with each witness element replaced by its label."""
+    return ExtremalResult(result.size, list(map(label, result.witness)), result.method,
+                          result.elapsed_ms)
+
+
 def max_clique(instance: CliqueInstance) -> ExtremalResult:
     """Exact maximum set of pairwise-related elements, the lexicographically
     first one, found by ``_family`` in the complement of the rows.
@@ -524,9 +533,7 @@ def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
             f" (pass override_cap=True or --override-cap for n up to {MAX_SUBSET_VERTICES})"
         )
         raise ValueError(f"n must be in [1, {cap}], got {n}{hint}")
-    result = _subset_family(path(n))
-    result.witness = [BitString(n, bits) for bits in result.witness]
-    return result
+    return _relabel(_subset_family(path(n)), functools.partial(BitString, n))
 
 
 def exact_MG(g: Graph) -> ExtremalResult:
@@ -540,9 +547,7 @@ def exact_MG(g: Graph) -> ExtremalResult:
         raise ValueError(
             f"vertex count must be <= {MAX_SUBSET_VERTICES}, got {g.vertex_count}"
         )
-    result = _subset_family(g)
-    result.witness = [tuple(_bits(mask)) for mask in result.witness]
-    return result
+    return _relabel(_subset_family(g), lambda mask: tuple(_bits(mask)))
 
 
 def multipartite_M(p: Partition | Sequence[int]) -> int:
@@ -579,9 +584,7 @@ def exact_attractive(f_graph: Graph, g_graph: Graph, n: int) -> ExtremalResult:
     ]
     maps = list(itertools.product(range(gv), repeat=n))
     codes = [sum(1 << i * gv + u for i, u in enumerate(m)) for m in maps]
-    result = max_clique(CliqueInstance.from_neighborhoods(nbrs, codes))
-    result.witness = [maps[i] for i in result.witness]
-    return result
+    return _relabel(max_clique(CliqueInstance.from_neighborhoods(nbrs, codes)), maps.__getitem__)
 
 
 def witness_descriptor(item: object) -> object:

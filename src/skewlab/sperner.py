@@ -27,13 +27,13 @@ returned witnesses and chains become ``BitString``s.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterator
 
 from .bitstring import BitString
 from .constructions import fibonacci_masks
 from .counting import fibonacci_count
+from .record import Record
 from .solver import CliqueInstance, max_clique
 
 MAX_POSET_LENGTH = 20
@@ -156,13 +156,15 @@ def antichain_sizes(lo: int, hi: int) -> list[int]:
     return [len(level) for n, level, _ in antichain_sweep(hi) if n >= lo]
 
 
-@dataclass(frozen=True)
-class AntichainResult:
+class AntichainResult(Record):
     """Maximum antichain size and a verified witness."""
 
-    n: int
-    size: int
-    witness: tuple[BitString, ...]
+    __slots__ = ("n", "size", "witness")
+
+    def __init__(self, n: int, size: int, witness: tuple[BitString, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "witness", witness)
 
 
 def _verify_antichain(bits: list[int]) -> None:
@@ -219,18 +221,25 @@ def max_antichain_oracle(n: int) -> int:
     return max_clique(CliqueInstance.from_relation(len(bits), incomparable)).size
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
-    """Bound checks tying the antichain maximum to the shorter length."""
+class ProjectionReport(Record):
+    """Bound checks tying the antichain maximum to the shorter length:
+    ``antichain_fits_prev`` is m_n <= f_{n-1} and ``ratio_bound_holds`` is
+    3 f_{n-1} <= 2 f_n, both in exact integers."""
 
-    n: int
-    antichain_size: int
-    fib_prev: int
-    fib_n: int
-    antichain_fits_prev: bool       # m_n <= f_{n-1}
-    ratio_bound_holds: bool         # 3 f_{n-1} <= 2 f_n, exact integers
-    projections_distinct: bool
-    projections_valid: bool
+    __slots__ = ("n", "antichain_size", "fib_prev", "fib_n", "antichain_fits_prev",
+                 "ratio_bound_holds", "projections_distinct", "projections_valid")
+
+    def __init__(self, n: int, antichain_size: int, fib_prev: int, fib_n: int,
+                 antichain_fits_prev: bool, ratio_bound_holds: bool,
+                 projections_distinct: bool, projections_valid: bool) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "antichain_size", antichain_size)
+        object.__setattr__(self, "fib_prev", fib_prev)
+        object.__setattr__(self, "fib_n", fib_n)
+        object.__setattr__(self, "antichain_fits_prev", antichain_fits_prev)
+        object.__setattr__(self, "ratio_bound_holds", ratio_bound_holds)
+        object.__setattr__(self, "projections_distinct", projections_distinct)
+        object.__setattr__(self, "projections_valid", projections_valid)
 
     @property
     def ok(self) -> bool:

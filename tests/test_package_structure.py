@@ -1,8 +1,9 @@
 """Structural properties of the ``skewlab`` sources, read from their syntax
-trees: stdlib-only imports, an acyclic import graph between the package's
-modules, and no function that calls itself."""
+trees: stdlib-only imports without ``dataclasses``, an acyclic import graph
+between the package's modules, and no function that calls itself."""
 
 import ast
+import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -30,19 +31,39 @@ def internal_imports(tree: ast.Module, modules: set[str]) -> set[str]:
     return found
 
 
+def absolute_imports(tree: ast.Module) -> list[str]:
+    """Top-level names of the modules ``tree`` imports by absolute name."""
+    tops = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops += [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.append(node.module.partition(".")[0])
+    return tops
+
+
 def test_every_import_is_stdlib():
-    foreign = []
-    for name, tree in parsed_modules().items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                tops = [alias.name.partition(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                tops = [node.module.partition(".")[0]]
-            else:
-                continue
-            foreign += [(name, top) for top in tops
-                        if top not in sys.stdlib_module_names and top != "skewlab"]
+    foreign = [(name, top) for name, tree in parsed_modules().items()
+               for top in absolute_imports(tree)
+               if top not in sys.stdlib_module_names and top != "skewlab"]
     assert foreign == []
+
+
+def test_no_module_imports_dataclasses():
+    """Result types are ``record.Record`` slot classes: ``dataclasses`` costs
+    its import (with ``inspect``) and generated code per class at every start."""
+    assert [name for name, tree in parsed_modules().items()
+            if "dataclasses" in absolute_imports(tree)] == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """In a fresh interpreter without site packages, importing the command
+    line loads neither module."""
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import skewlab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_internal_import_graph_is_acyclic():

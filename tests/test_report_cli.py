@@ -357,6 +357,21 @@ def test_cli_fixed_graph_specs_reject_arguments(capsys):
         assert "takes no argument" in captured.err
 
 
+def test_cli_oversized_graph_specs_fail_before_building(capsys):
+    """A spec past the vertex cap is refused before any of its edges exist:
+    built first, these lists would exhaust memory."""
+    for argv, count in ((["graph-m", "--graph", "path:99999999999"], 99999999999),
+                        (["graph-m", "--graph", "all-loops:99999999999"], 99999999999),
+                        (["graph-m", "--graph", "multipartite:4000,4000"], 8000),
+                        (["attractive", "--n", "1", "--alphabet-graph", "path:99999999999"],
+                         99999999999),
+                        (["attractive", "--n", "99999999999"], 99999999999)):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"vertex_count must be in [1, 4096], got {count}" in captured.err, argv
+
+
 def test_cli_error_messages_name_the_fix(capsys):
     assert main(["exact-m", "--n", "9"]) == 2
     captured = capsys.readouterr()

@@ -14,7 +14,7 @@ only when it is handed out.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .record import Record
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from . import constructions, counting, graphs, report, solver, sperner
 from .counting import CrossoverNotFoundError
@@ -153,14 +153,18 @@ def _cmd_exact_m(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_m(args: argparse.Namespace) -> int:
-    g = _build_graph(args.graph_spec)
+    spec = args.graph_spec
+    parts = _multipartite_parts(spec) if spec.partition(":")[0] == "multipartite" else None
+    if parts is not None:
+        # refused from the part sizes: the edges of a large spec take seconds to list
+        count = graphs.as_partition(parts).total
+        graphs.check_vertex_count(count)
+        solver.check_subset_vertices(count)
+    g = _build_graph(spec)
     result = solver.exact_MG(g)
-    extra: dict[str, object] = {
-        "graph": args.graph_spec,
-        "vertices": g.vertex_count,
-    }
-    if args.graph_spec.partition(":")[0] == "multipartite":
-        extra["closed_form"] = solver.multipartite_M(_multipartite_parts(args.graph_spec))
+    extra: dict[str, object] = {"graph": spec, "vertices": g.vertex_count}
+    if parts is not None:
+        extra["closed_form"] = solver.multipartite_M(parts)
     return _emit_result(args, extra, result)
 
 

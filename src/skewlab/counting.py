@@ -7,6 +7,11 @@ positions, packed into one big integer (Kronecker substitution: the count
 for total v sits in slot v, _SLOT_BITS wide). A step of the program is
 eight shifts and adds, a tail count is one shift and a fold of the slots,
 and no string is ever materialized, so it runs comfortably up to n = 512.
+The tail counts C(n) up to max_n run the same program on a window of
+totals: a prefix whose total already exceeds max_n leaves the window for a
+count that doubles with each step, and one whose total can no longer reach
+the tail at any length up to max_n is dropped, so the window shrinks as n
+nears max_n instead of growing to 2n + 1 slots.
 A column of bounds floor(2^(an/k)) takes one exact k-th root.
 
 The sampler checks the tail against uniform draws from the SplitMix64
@@ -20,9 +25,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .record import Record
 
@@ -34,6 +39,8 @@ MAX_SAMPLING_LENGTH = 64
 _SLOT_BYTES = MAX_DP_LENGTH // 8 + 1
 _SLOT_BITS = 8 * _SLOT_BYTES
 _SLOT_SUM = (1 << _SLOT_BITS) - 1  # each slot's weight is 1 modulo this: a residue adds them
+# The tail kernel trims its window once per this many steps.
+_TRIM_STEPS = 16
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 constants: fixed odd increment and the two finalizer multipliers.
@@ -65,14 +72,15 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
 
-def _slot_sum(x: int) -> int:
-    """The sum of the _SLOT_BITS-wide slots of x, folded in halves: the high
+def _slot_sum(x: int, width: int) -> int:
+    """The sum of the ``width``-bit slots of x, folded in halves: the high
     slots are added onto the low ones until one slot is left. Each slot's
-    weight is 1 modulo _SLOT_SUM, so this is ``x % _SLOT_SUM`` with no final
-    reduction whenever the slots sum below _SLOT_SUM, as counts do: any sum
-    of them is at most 2^n <= 2^512, so no fold ever carries out of a slot."""
-    while x >> _SLOT_BITS:
-        h = _SLOT_BITS * (-(-x.bit_length() // _SLOT_BITS) // 2)
+    weight is 1 modulo 2^width - 1, so this is ``x % (2^width - 1)`` with no
+    final reduction whenever the slots sum below 2^width - 1, as counts do:
+    any sum of them is at most 2^n, and every width holds 2^n with room to
+    spare, so no fold ever carries out of a slot."""
+    while x >> width:
+        h = width * (-(-x.bit_length() // width) // 2)
         x = (x >> h) + (x & (1 << h) - 1)
     return x
 
@@ -96,11 +104,11 @@ class GammaDistribution(Record):
         return {v: c for v, c in enumerate(slots) if c}
 
     def total(self) -> int:
-        return _slot_sum(self.packed)
+        return _slot_sum(self.packed, _SLOT_BITS)
 
     def count_above(self, threshold: int) -> int:
         """Number of strings with gamma strictly greater than ``threshold``."""
-        return _slot_sum(self.packed >> _SLOT_BITS * max(threshold + 1, 0))
+        return _slot_sum(self.packed >> _SLOT_BITS * max(threshold + 1, 0), _SLOT_BITS)
 
     def weighted_sum(self) -> int:
         """Sum of gamma over all 2^n strings (an exact integer)."""
@@ -144,15 +152,75 @@ def gamma_distribution(n: int) -> GammaDistribution:
     return deque(gamma_distribution_sweep(n), maxlen=1).pop()
 
 
+def _repack(x: int, width: int, wider: int) -> int:
+    """x with each of its ``width``-bit slots moved into a ``wider``-bit slot
+    (both whole bytes)."""
+    b = width // 8
+    raw = x.to_bytes(b * -(-x.bit_length() // width), "little")
+    pad = bytes((wider - width) // 8)
+    return int.from_bytes(pad.join(raw[i:i + b] for i in range(0, len(raw), b)), "little")
+
+
+def tail_counts_upto(max_n: int) -> list[int]:
+    """C(n), the number of length-n strings with gamma > n, for n = 1..max_n.
+
+    The recurrence of ``gamma_distribution_sweep`` on a window of totals. At
+    the start of step n the states count prefixes of length n by the total t
+    of their finished positions 1..n-1, which every extension keeps and can
+    raise by at most 2 per position. So every _TRIM_STEPS steps, once a total
+    can exceed max_n, the window is trimmed at both ends:
+
+    - a prefix with t > max_n has every extension in the tail, up to max_n:
+      its count moves to ``certain``, which doubles with each step;
+    - a prefix with t <= 2n - 2 - max_n has no extension in the tail at any
+      length up to max_n, so it is dropped.
+
+    ``prev`` stands for s01 one slot up, so it is cut one slot lower, and all
+    four states drop the same number of slots, which is tight for s01 and one
+    slot short for the others. ``base`` is the total held in slot 0. Up to
+    the first trim no sum of counts exceeds 2^start, so slots start about
+    max_n/2 bits wide and are repacked to full width once, when trimming
+    starts: every slot sum stays below 2^width.
+    """
+    if not 1 <= max_n <= MAX_DP_LENGTH:
+        raise ValueError(f"n must be in [1, {MAX_DP_LENGTH}], got {max_n}")
+    # the first trim: the first multiple of _TRIM_STEPS with 2n - 2 >= max_n
+    start = _TRIM_STEPS * -(-(max_n + 2) // (2 * _TRIM_STEPS))
+    full = 8 * (max_n // 8 + 1)
+    w = 8 * (min(start, max_n) // 8 + 1)
+    w2 = 2 * w
+    s00, s10, s11 = 1, 1 << w, 1 << w2
+    prev, cur = 1, 1 + (1 << w)
+    base = certain = 0
+    tails = [0]  # both length-1 strings have gamma <= 1
+    for n in range(2, max_n + 1):
+        certain *= 2
+        if n % _TRIM_STEPS == 0 and n >= start:
+            top, drop = max_n + 1 - base, 2 * n - 2 - max_n - base
+            keep = (1 << w * top) - 1
+            certain += _slot_sum((s00 >> w * top) + (s10 >> w * top) + (s11 >> w * top)
+                                 + (prev >> w * (top - 1)), w)
+            s00, s10, s11, prev = ((s & keep) >> w * drop
+                                   for s in (s00, s10, s11, prev & keep >> w))
+            base += drop
+            if n == start:
+                s00, s10, s11, prev = (_repack(s, w, full) for s in (s00, s10, s11, prev))
+                w, w2 = full, 2 * full
+            cur = s00 + s10
+        s00, s10, s11 = s00 + (s10 << w), (prev + s11) << w2, ((prev << w) + s11) << w2
+        prev, cur = cur, s00 + s10
+        tails.append(certain + _slot_sum(cur >> w * (n + 1 - base), w))
+    return tails
+
+
 def count_C(n: int) -> int:
     """Number of length-n strings whose gamma exceeds n."""
-    return gamma_distribution(n).count_above(n)
+    return tail_counts_upto(n)[-1]
 
 
 def tail_probability(n: int) -> Fraction:
     """Exact probability that a uniform length-n string has gamma <= n."""
-    dist = gamma_distribution(n)
-    return Fraction((1 << n) - dist.count_above(n), 1 << n)
+    return Fraction((1 << n) - count_C(n), 1 << n)
 
 
 def expected_gamma(n: int) -> Fraction:
@@ -283,10 +351,8 @@ def crossover_scan(max_n: int) -> int:
         raise ValueError(f"max_n must be in [2, {MAX_DP_LENGTH}], got {max_n}")
     last_violation = 0
     bounds = floor_pow2_upto(24, 25, max_n)
-    for dist, bound in zip(gamma_distribution_sweep(max_n), bounds):
-        n = dist.n
-        lhs = (1 << n) - dist.count_above(n)
-        if lhs > bound:
+    for n, (tail, bound) in enumerate(zip(tail_counts_upto(max_n), bounds), 1):
+        if (1 << n) - tail > bound:
             last_violation = n
     if last_violation >= max_n:
         raise CrossoverNotFoundError(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .record import Record
 
@@ -29,6 +29,12 @@ class Partition(Record):
         return len(self.parts)
 
 
+def check_vertex_count(count: int) -> None:
+    """Refuse a graph size before any of its edges is generated."""
+    if not 1 <= count <= MAX_VERTICES:
+        raise ValueError(f"vertex_count must be in [1, {MAX_VERTICES}], got {count}")
+
+
 def as_partition(p: Partition | Sequence[int]) -> Partition:
     """Coerce a plain sequence of part sizes into a validated Partition."""
     return p if isinstance(p, Partition) else Partition(tuple(p))
@@ -46,10 +52,7 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         # checked before ``edges`` is read: the generators below pass their edges
         # lazily, so an oversized graph is refused before any edge exists
-        if not 1 <= vertex_count <= MAX_VERTICES:
-            raise ValueError(
-                f"vertex_count must be in [1, {MAX_VERTICES}], got {vertex_count}"
-            )
+        check_vertex_count(vertex_count)
         self.vertex_count = vertex_count
         rows = [0] * vertex_count
         for u, v in edges:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .counting import (
     MAX_DP_LENGTH,
@@ -20,7 +20,7 @@ from .counting import (
     count_C,
     fibonacci_count,
     floor_pow2_upto,
-    gamma_distribution_sweep,
+    tail_counts_upto,
 )
 from .record import Record
 from .solver import EXACT_M_DEFAULT_CAP, exact_M
@@ -141,9 +141,8 @@ def theorem_table(max_n: int) -> Table:
     antichain = antichain_sizes(1, min(max_n, MAX_POSET_LENGTH))
     bounds = zip(floor_pow2_upto(24, 25, max_n), ceil_pow2_upto(69, 100, max_n))
     rows = []
-    for dist, (b96, b69) in zip(gamma_distribution_sweep(max_n), bounds):
-        n = dist.n
-        outside = (1 << n) - dist.count_above(n)
+    for n, (tail, (b96, b69)) in enumerate(zip(tail_counts_upto(max_n), bounds), 1):
+        outside = (1 << n) - tail
         if n <= len(antichain):
             deficit = fibonacci_count(n) - antichain[n - 1]
             upper_ok: bool | None = deficit >= b69
@@ -172,13 +171,9 @@ def summary_table(n_lo: int, n_hi: int) -> Table:
     )
     antichain = antichain_sizes(n_lo, min(n_hi, MAX_POSET_LENGTH))
     rows = []
-    for dist in gamma_distribution_sweep(n_hi):
-        n = dist.n
-        if n < n_lo:
-            continue
+    for n, c_n in enumerate(tail_counts_upto(n_hi)[n_lo - 1:], n_lo):
         fib = fibonacci_count(n)
         m_n = antichain[n - n_lo] if n - n_lo < len(antichain) else None
-        c_n = dist.count_above(n)
         exact = exact_M(n).size if n <= EXACT_M_DEFAULT_CAP else None
         upper = (1 << n) - (fib - m_n) if m_n is not None else None
         rows.append((n, fib, m_n, c_n, exact, upper))

@@ -31,7 +31,7 @@ import json
 import operator
 import time
 from collections import deque
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .bitstring import BitString, submasks
 from .graphs import Graph, Partition, as_partition, path
@@ -536,6 +536,13 @@ def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
     return _relabel(_subset_family(path(n)), functools.partial(BitString, n))
 
 
+def check_subset_vertices(count: int) -> None:
+    """Refuse a graph too large for ``exact_MG``, whose unrelated graph holds
+    one 2^count-bit row per subset."""
+    if count > MAX_SUBSET_VERTICES:
+        raise ValueError(f"vertex count must be <= {MAX_SUBSET_VERTICES}, got {count}")
+
+
 def exact_MG(g: Graph) -> ExtremalResult:
     """Largest family of distinct vertex subsets of g, any two of which
     contain a pair of adjacent vertices.
@@ -543,10 +550,7 @@ def exact_MG(g: Graph) -> ExtremalResult:
     Elements are all subsets, indexed by bitmask with vertex 0 least
     significant; the witness lists subsets as sorted vertex tuples.
     """
-    if g.vertex_count > MAX_SUBSET_VERTICES:
-        raise ValueError(
-            f"vertex count must be <= {MAX_SUBSET_VERTICES}, got {g.vertex_count}"
-        )
+    check_subset_vertices(g.vertex_count)
     return _relabel(_subset_family(g), lambda mask: tuple(_bits(mask)))
 
 

@@ -27,8 +27,8 @@ returned witnesses and chains become ``BitString``s.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from itertools import zip_longest
-from typing import Iterator
 
 from .bitstring import BitString
 from .constructions import fibonacci_masks

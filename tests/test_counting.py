@@ -24,6 +24,7 @@ from skewlab.counting import (
     gamma_distribution_sweep,
     gamma_distributions_upto,
     monte_carlo_tail,
+    tail_counts_upto,
     tail_probability,
 )
 from skewlab import counting
@@ -84,7 +85,7 @@ def test_packed_sums_exact_at_the_cap():
 def test_slot_fold_equals_residue():
     for dist in gamma_distributions_upto(512):
         for x in (dist.packed, dist.packed >> _SLOT_BITS * (dist.n + 1)):
-            assert _slot_sum(x) == x % _SLOT_SUM, dist.n
+            assert _slot_sum(x, _SLOT_BITS) == x % _SLOT_SUM, dist.n
     w = _SLOT_BITS
     boundary = [
         0,
@@ -97,7 +98,12 @@ def test_slot_fold_equals_residue():
         _SLOT_SUM - 2 + (1 << w),             # two slots summing to _SLOT_SUM - 1
     ]
     for x in boundary:
-        assert _slot_sum(x) == x % _SLOT_SUM, x
+        assert _slot_sum(x, w) == x % _SLOT_SUM, x
+    # the tail kernel's narrower slots, summing to just below the modulus
+    for width in (8, 280):
+        for slots in (1, 2, 3, 255):
+            x = sum(((1 << width) - 2) // slots << k * width for k in range(slots))
+            assert _slot_sum(x, width) == x % ((1 << width) - 1), (width, slots)
 
 
 # SHA-256 of every packed distribution of gamma_distribution_sweep(512), each
@@ -148,6 +154,26 @@ def test_count_C_frozen_table():
         assert count_C(n) == expected
 
 
+# max_n values around the trim steps and the repack; all of 1..512 take seconds
+TAIL_KERNEL_MAX_N = (*range(1, 41), 63, 64, 65, 127, 128, 129, 255, 256, 257, 258, 300, 511, 512)
+
+
+def test_tail_kernel_matches_the_sweep():
+    sweep = [dist.count_above(dist.n) for dist in gamma_distribution_sweep(512)]
+    for max_n in TAIL_KERNEL_MAX_N:
+        assert tail_counts_upto(max_n) == sweep[:max_n], max_n
+
+
+def test_tail_kernel_matches_enumeration(monkeypatch):
+    brute = [sum(gamma_bits(x, n) > n for x in range(1 << n)) for n in range(1, 15)]
+    # trimming every step or few steps takes both ends of the window, and
+    # the repack, within n <= 14
+    for steps in (1, 2, 3, 16):
+        monkeypatch.setattr(counting, "_TRIM_STEPS", steps)
+        for max_n in range(1, 15):
+            assert tail_counts_upto(max_n) == brute[:max_n], (steps, max_n)
+
+
 def test_tail_probability_examples():
     for n, expected in TAIL.items():
         assert tail_probability(n) == expected
@@ -162,6 +188,8 @@ def test_dp_length_validation():
             gamma_distribution(bad)
         with pytest.raises(ValueError):
             count_C(bad)
+        with pytest.raises(ValueError, match=rf"n must be in \[1, 512\], got {bad}"):
+            tail_counts_upto(bad)
 
 
 def test_fibonacci_values():

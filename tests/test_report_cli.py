@@ -101,8 +101,9 @@ def fib_minus(n: int) -> int:
 
 
 def test_tables_stream_the_sweep(monkeypatch):
-    # the antichain and exact-maximum columns are slow and hold no
-    # distribution, so the traced calls leave them out
+    # the tables read C(n) from the tail kernel, which holds one window of
+    # totals and no distribution; the antichain and exact-maximum columns
+    # are slow and hold neither, so the traced calls leave them out
     monkeypatch.setattr(report, "MAX_POSET_LENGTH", 0)
     tracemalloc.start()
     try:
@@ -112,7 +113,7 @@ def test_tables_stream_the_sweep(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(theorem.rows) == 512 and summary.rows[-1][0] == 512
-    # the 512 distributions held at once take 17 MB; streamed, under 1 MB
+    # the 512 distributions held at once would take 17 MB; the kernel, under 1 MB
     assert peak < 4 << 20, peak
 
 
@@ -370,6 +371,18 @@ def test_cli_oversized_graph_specs_fail_before_building(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"vertex_count must be in [1, 4096], got {count}" in captured.err, argv
+
+
+def test_cli_graph_m_refuses_past_its_cap_before_building(capsys, monkeypatch):
+    """A multipartite spec within the graph cap but past the subset route's
+    is refused from its part sizes: its edges would take seconds to list."""
+    built = []
+    monkeypatch.setattr(cli.graphs, "complete_multipartite", built.append)
+    assert main(["graph-m", "--graph", "multipartite:2048,2048"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "skewlab: error: vertex count must be <= 12, got 4096\n"
+    assert built == []
 
 
 def test_cli_error_messages_name_the_fix(capsys):

@@ -14,13 +14,14 @@ complement, the unrelated graph H, which is sparse for the families here.
 Two builders feed it: subset families read H off the submasks of each
 subset's non-neighbourhood and leave the subsets a shifting lemma rules out
 to the witness pass; ``max_clique`` (mappings and the Sperner oracle)
-complements dense bitset rows. The size comes from the
-vertex-cover LP of H (one Hopcroft-Karp matching on H's bipartite double
-cover, then an exact search of the Nemhauser-Trotter kernel); greedy
-cliques of H cover every element and bound any family by their number; and
-the lexicographically first witness is decided step by step by counting
-live classes, repairing a carried optimum, or else an iterative
-branch-and-bound search.
+complements dense bitset rows. The size comes from the vertex-cover LP
+of H (a maximum matching on H's bipartite double cover, whose last round
+gives the Koenig cover, then an exact search of the Nemhauser-Trotter
+kernel); greedy cliques of H cover every element and bound any family by
+their number; and the lexicographically first witness is decided step by
+step by counting live classes, repairing a carried optimum, or else an
+iterative branch-and-bound search. One augmenting-path matcher,
+``max_matching``, serves both this and the Sperner sweep's level matchings.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import itertools
 import json
 import operator
 import time
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .bitstring import BitString, submasks
@@ -218,76 +218,48 @@ def enumerate_max_clique(instance: CliqueInstance) -> ExtremalResult:
     return ExtremalResult(best_size, witness, "enumeration", elapsed)
 
 
-def hopcroft_karp(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """Maximum matching of a bipartite graph whose left and right sides are
-    both indexed 0..len(adj)-1; left vertex u joins the right vertices adj[u].
-
-    Greedy seeding in index order, then Hopcroft-Karp phases, each
-    augmenting along vertex-disjoint shortest paths found depth-first in
-    adjacency order from the free left vertices that have edges (the others
-    can never be matched, so padding a side with them costs next to
-    nothing); returns (match_of_left, match_of_right), -1 when free.
-    """
-    count = len(adj)
-    match_left = [-1] * count
-    match_right = [-1] * count
-    for u in range(count):
-        for v in adj[u]:
-            if match_right[v] == -1:
-                match_left[u] = v
-                match_right[v] = u
+def augment(start: int, neighbours: Callable[[int], Iterable[int]], mate: dict[int, int],
+            seen: set[int]) -> bool:
+    """Extend a bipartite matching along an augmenting path from the free
+    left vertex ``start``, searched depth-first in ``neighbours`` order;
+    ``mate`` maps each matched right vertex to its left partner and is
+    rewritten along the path. False if no path avoids ``seen``, which
+    gathers the right vertices reached."""
+    stack = [(start, iter(neighbours(start)), None)]
+    while stack:  # frames: a left vertex on the path, its untried edges, the right vertex it came by
+        for v in stack[-1][1]:
+            if v not in seen:
+                seen.add(v)
+                w = mate.get(v)
+                if w is None:  # flip the path: each right vertex takes the left vertex before it
+                    for (a, _, _), (_, _, b) in zip(stack, stack[1:] + [(None, None, v)]):
+                        mate[b] = a
+                    return True
+                stack.append((w, iter(neighbours(w)), v))
                 break
+        else:
+            stack.pop()
+    return False
 
-    free = [u for u, m in enumerate(match_left) if m == -1 and adj[u]]
-    infinity = count + 1
 
-    def augment(root: int, shortest: int) -> None:
-        """Flip the first shortest augmenting path from the free left vertex
-        ``root``, searched depth-first in adjacency order; a left vertex on
-        no such path is marked unreachable for the rest of the phase."""
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            u, edges = stack[-1]
-            for v in edges:
-                w = match_right[v]
-                if w == -1 and dist[u] + 1 == shortest:
-                    # back from the free end: each left vertex takes the right vertex
-                    # handed up to it and passes its old partner (-1 at the root) up
-                    for a, _ in reversed(stack):
-                        match_right[v] = a
-                        match_left[a], v = v, match_left[a]
-                    return
-                if w != -1 and dist[w] == dist[u] + 1:
-                    stack.append((w, iter(adj[w])))
-                    break
-            else:
-                dist[u] = infinity
-                stack.pop()
+def max_matching(free: list[int], neighbours: Callable[[int], Iterable[int]],
+                 mate: dict[int, int]) -> tuple[list[int], set[int]]:
+    """Grow the matching ``mate`` (right vertex: left partner) to a maximum
+    one by augmenting paths from the free left vertices ``free``.
 
+    Searches share their reached right vertices in rounds, since a failed
+    search's vertices reach no free right vertex while the matching stays
+    the same; a round retries the vertices the last one left free, until one
+    adds nothing. Returns the left vertices still free and that last round's
+    reached set, which is then every right vertex that an alternating path
+    from them reaches.
+    """
     while True:
-        dist = [infinity] * count
-        for u in free:
-            dist[u] = 0
-        queue = deque(free)
-        shortest = infinity
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            if du >= shortest:
-                continue
-            for v in adj[u]:
-                w = match_right[v]
-                if w == -1:
-                    if shortest == infinity:
-                        shortest = du + 1
-                elif dist[w] == infinity:
-                    dist[w] = du + 1
-                    queue.append(w)
-        if shortest == infinity:
-            return match_left, match_right
-        for u in free:  # only a root's own augment matches it
-            augment(u, shortest)
-        free = [u for u in free if match_left[u] == -1]
+        seen: set[int] = set()
+        left = [s for s in free if not augment(s, neighbours, mate, seen)]
+        if len(left) == len(free):
+            return left, seen
+        free = left
 
 
 def _unrelated_graph(g: Graph) -> tuple[list[int], list[list[int]], list[bool]]:
@@ -351,30 +323,24 @@ def _cover_family(adj: Sequence[Sequence[int]], rows: Sequence[int], kept: Seque
     subset families shifting members up to strict supersets ends in an
     up-set of the same size, whose members are related to all their strict
     supersets, so only subsets meeting N(x) or with x | N(x) everything are
-    kept; ``max_clique`` keeps every element. A matching of H's double cover
-    gives a Koenig cover by alternating search from the free left copies; LP
-    value 0 means the left copy is reached and the right one is not. By
-    Nemhauser-Trotter those vertices plus a largest family inside the
-    half-integral kernel are optimal; half the kernel bounds that family,
-    which stops its search.
+    kept; ``max_clique`` keeps every element. The last round of
+    ``max_matching`` on H's double cover, which adds nothing, reaches from
+    the free left copies the right copies in a Koenig cover; a left copy is
+    reached when it is free or its partner is, and is in the cover when it
+    is not. LP value 0 means the left copy is reached and the right one is
+    not. By Nemhauser-Trotter those vertices plus a largest family inside
+    the half-integral kernel are optimal; half the kernel bounds that
+    family, which stops its search.
     """
     kept_adj = adj if all(kept) else [
         list(filter(kept.__getitem__, a)) if k else [] for a, k in zip(adj, kept)]
-    match_left, match_right = hopcroft_karp(kept_adj)
-    left_in = [m == -1 for m in match_left]
-    right_in = [False] * len(adj)
-    reached = [u for u, m in enumerate(match_left) if m == -1]
-    for u in reached:  # grows while it is walked: alternating breadth-first search
-        for v in kept_adj[u]:
-            if not right_in[v]:
-                right_in[v] = True
-                w = match_right[v]  # matched: a free one would end an augmenting path
-                if not left_in[w]:
-                    left_in[w] = True
-                    reached.append(w)
-    lp = list(zip(kept, left_in, right_in))  # an edgeless vertex has LP value 0
-    zero = _union(1 << v for v, (k, a, b) in enumerate(lp) if k and a and not b)
-    kernel = _union(1 << v for v, (k, a, b) in enumerate(lp) if a == b)
+    mate: dict[int, int] = {}
+    _, reached = max_matching([u for u, a in enumerate(kept_adj) if a], kept_adj.__getitem__, mate)
+    full = (1 << len(adj)) - 1
+    left = full & ~_union(1 << mate[v] for v in mate.keys() - reached)  # the reached left copies
+    right = _union(1 << v for v in reached)
+    zero = left & ~right & _union(1 << v for v, k in enumerate(kept) if k)
+    kernel = full & ~(left ^ right)
     half = kernel.bit_count() // 2
     related = _related_rows(rows, kernel)
     family = _greedy_clique(related, kernel, half)

@@ -17,8 +17,11 @@ so the matchings of length n start as the union of those two lengths'
 matchings, the second with the top bit set on both ends (one level up).
 Only a pair of levels whose inherited links fall short of its smaller level
 is extended, by augmenting paths from its free strings; the cover
-neighbours are read off the masks. An independent oracle solves the same
-question as a maximum clique of the incomparability relation.
+neighbours are read off the masks. The paths come from
+``solver.max_matching``, the one matcher the clique engine shares, whose
+last round gives it the Koenig cover of the unrelated graph. An
+independent oracle solves the same question as a maximum clique of the
+incomparability relation.
 
 Strings stay the integer masks of ``fibonacci_masks`` throughout; only the
 returned witnesses and chains become ``BitString``s.
@@ -34,7 +37,7 @@ from .bitstring import BitString
 from .constructions import fibonacci_masks
 from .counting import fibonacci_count
 from .record import Record
-from .solver import CliqueInstance, max_clique
+from .solver import CliqueInstance, max_clique, max_matching
 
 MAX_POSET_LENGTH = 20
 ORACLE_MAX_LENGTH = 10
@@ -45,43 +48,13 @@ def _check_length(n: int, cap: int) -> None:
         raise ValueError(f"n must be in [1, {cap}], got {n}")
 
 
-def _augment(start: int, mate: dict[int, int], upward: bool, full: int,
-             seen: set[int]) -> bool:
-    """Extend a level pair's matching along an augmenting path from the free
-    string ``start``, rewriting ``mate`` (the other level's matched strings
-    to their partners); False if no path avoids ``seen``, which gathers the
-    strings reached. Neighbours set one more bit of ``full`` (``upward``) or
-    clear a bit, the highest first: the top bit crosses to the other half of
-    the strings, where the recursion leaves the free partners.
-    """
-    stack = [[start, full & ~(start | start << 1 | start >> 1) if upward else start, 0]]
-    while stack:  # frames: a string on the path, its untried bits, the string it came by
-        frame = stack[-1]
-        if not frame[1]:
-            stack.pop()
-            continue
-        bit = 1 << frame[1].bit_length() - 1
-        frame[1] ^= bit
-        t = frame[0] ^ bit
-        if t in seen:
-            continue
-        seen.add(t)
-        s = mate.get(t)
-        if s is None:  # flip the path: each string is matched to the one it came by
-            for frame, after in zip(stack, stack[1:] + [[t, 0, t]]):
-                mate[after[2]] = frame[0]
-            return True
-        stack.append([s, full & ~(s | s << 1 | s >> 1) if upward else s, t])
-    return False
-
-
 def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int) -> int:
     """Augment the links ``up`` between two adjacent levels to a maximum
     matching from the free strings of the smaller level (the lower on ties);
-    returns the number of links added. Searches share their visited strings
-    in rounds, as a failed search's strings reach no free string while the
-    matching stays the same; a round retries the strings left free by the
-    last, until one adds nothing.
+    returns the number of links added. Neighbours set one more bit of
+    ``full`` (upward) or clear a bit, the highest first: the top bit crosses
+    to the other half of the strings, where the recursion leaves the free
+    partners.
     """
     upward = len(lower) <= len(upper)
     matched = {up[a]: a for a in lower if a in up}  # upper string: its lower partner
@@ -89,17 +62,18 @@ def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int
         mate, free = matched, [a for a in lower if a not in up]
     else:
         mate, free = up, [b for b in upper if b not in matched]
-    added = 0
-    while free:
-        seen: set[int] = set()
-        left = [s for s in free if not _augment(s, mate, upward, full, seen)]
-        if len(left) == len(free):
-            break
-        added += len(free) - len(left)
-        free = left
+
+    def neighbours(s: int) -> Iterator[int]:
+        bits = full & ~(s | s << 1 | s >> 1) if upward else s
+        while bits:
+            bit = 1 << bits.bit_length() - 1
+            bits ^= bit
+            yield s ^ bit
+
+    left, _ = max_matching(free, neighbours, mate)
     if upward:
         up.update({a: b for b, a in matched.items()})
-    return added
+    return len(free) - len(left)
 
 
 def _next_length(n: int, older: tuple, newer: tuple) -> tuple:

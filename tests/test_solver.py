@@ -283,10 +283,8 @@ def test_cover_bound_meets_the_frozen_values():
             free = full & ~influence_bits(x, n)
             subs = itertools.accumulate(range(1 << free.bit_count()), lambda y, _: (y - free) & free)
             adj.append([index[y] for y in subs if y != x and y in index])
-        match_left, match_right = solver.hopcroft_karp(adj)
-        pairs = [(u, v) for u, v in enumerate(match_left) if v != -1]
-        assert all(match_right[v] == u and v in adj[u] for u, v in pairs)
-        assert len(kept) - (len(pairs) + 1) // 2 == expected, n
+        nu = kuhn_matching_size(adj, len(kept))
+        assert len(kept) - (nu + 1) // 2 == expected, n
 
 
 def kuhn_matching_size(adj: list[list[int]], right: int) -> int:
@@ -305,21 +303,47 @@ def kuhn_matching_size(adj: list[list[int]], right: int) -> int:
     return sum(augment(u, set()) for u in range(len(adj)))
 
 
-def test_hopcroft_karp_ignores_edgeless_padding():
-    """Left vertices without edges stay free and leave the rest of the
-    matching as it is, so a smaller left side can be padded with them."""
+def alternating_reach(adj: list[list[int]], free: list[int], mate: dict[int, int]) -> set[int]:
+    """Right vertices that alternating paths from the ``free`` left vertices
+    reach, by breadth-first search over the matching ``mate``."""
+    reached: set[int] = set()
+    queue = list(free)
+    for u in queue:
+        for v in adj[u]:
+            if v not in reached:
+                reached.add(v)
+                if v in mate:
+                    queue.append(mate[v])
+    return reached
+
+
+def check_max_matching(adj: list[list[int]], right: int, mate: dict[int, int], trial: int) -> None:
+    given = [u for u in range(len(adj)) if u not in mate.values()]
+    free, reach = solver.max_matching(given, adj.__getitem__, mate)
+    assert all(v in adj[u] for v, u in mate.items()), trial
+    assert len(set(mate.values())) == len(mate), trial
+    assert len(mate) == kuhn_matching_size(adj, right), trial
+    assert free == [u for u in given if u not in mate.values()], trial
+    assert reach == alternating_reach(adj, free, mate), trial
+
+
+def test_max_matching_returns_free_vertices_and_their_reach():
+    """A maximum matching from an empty or a valid partial start, the left
+    vertices it leaves free (edgeless ones among them), and the right
+    vertices alternating paths from those reach: the Koenig cover that
+    ``_cover_family`` reads."""
     rng = random.Random(5)
     for trial in range(200):
         left, right = rng.randint(1, 12), rng.randint(1, 24)
         adj = [rng.sample(range(right), rng.randint(0, min(right, 4))) for _ in range(left)]
-        pad = max(left, right) - left
-        match_left, match_right = solver.hopcroft_karp(adj + [[]] * pad)
-        assert match_left[left:] == [-1] * pad
-        pairs = [(u, v) for u, v in enumerate(match_left) if v != -1]
-        assert all(v in adj[u] and match_right[v] == u for u, v in pairs)
-        assert match_right.count(-1) == len(match_right) - len(pairs)
-        assert len(pairs) == kuhn_matching_size(adj, right), trial
-        assert solver.hopcroft_karp(adj + [[]] * (pad + 3))[0][:left] == match_left[:left]
+        check_max_matching(adj, right, {}, trial)
+        partial: dict[int, int] = {}
+        for u in rng.sample(range(left), left):
+            open_edges = [v for v in adj[u] if v not in partial]
+            if open_edges and rng.random() < 0.5:
+                partial[rng.choice(open_edges)] = u
+        check_max_matching(adj, right, partial, trial)
+    assert solver.max_matching([], [].__getitem__, {}) == ([], set())
 
 
 def test_exact_M_witness():

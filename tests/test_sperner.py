@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from skewlab import sperner
+from skewlab import solver, sperner
 from skewlab.bitstring import comparable, is_fibonacci, leq, weight
 from skewlab.constructions import enumerate_fibonacci, fibonacci_masks
 from skewlab.counting import fibonacci_count
@@ -139,12 +139,12 @@ def test_antichain_size_is_the_largest_binomial_level():
 
 def test_certificate_check_fires(monkeypatch):
     # an augmenting step that never extends the matching from one string
-    augment = sperner._augment
+    augment = solver.augment
 
-    def one_short(start, mate, upward, full, seen):
-        return start != 0b1 and augment(start, mate, upward, full, seen)
+    def one_short(start, neighbours, mate, seen):
+        return start != 0b1 and augment(start, neighbours, mate, seen)
 
-    monkeypatch.setattr(sperner, "_augment", one_short)
+    monkeypatch.setattr(solver, "augment", one_short)
     with pytest.raises(AssertionError, match="rank level 1 has 1 strings left free"):
         max_antichain(5)
     with pytest.raises(AssertionError, match="left free"):

@@ -149,13 +149,20 @@ def test_recursion_limit_untouched(monkeypatch):
 
 
 def test_search_work_is_pinned(monkeypatch):
-    """Colorings made, vertices colored and repairs tried by subset families;
-    a kernel that greedy stops filling, a repair that stops sufficing or a
-    refutation that stops deciding shows up here as a diff."""
+    """The root cover's element count, then colorings made and vertices
+    colored by the exact search, and repairs tried, for subset families and
+    random relations; a kernel that greedy stops filling, a repair that stops
+    sufficing, a refutation that stops deciding or a change to the search
+    tree shows up here as a diff."""
     colored = []
     repairs = []
+    cover = solver._clique_cover
     color_order = solver._greedy_color_order
     repair = solver._repair
+
+    def counted_cover(rows):
+        colored.append(len(rows))
+        return cover(rows)
 
     def counted(p: int, rows):
         colored.append(p.bit_count())
@@ -165,21 +172,27 @@ def test_search_work_is_pinned(monkeypatch):
         repairs.append(need)
         return repair(rows, known, hit, cand, need)
 
+    monkeypatch.setattr(solver, "_clique_cover", counted_cover)
     monkeypatch.setattr(solver, "_greedy_color_order", counted)
     monkeypatch.setattr(solver, "_repair", counted_repair)
-    cases = [
-        (exact_M, 6, 4),
-        (exact_M, 8, 8),
-        (exact_MG, complete_multipartite((2, 2, 2)), 3),
-        (exact_MG, all_loops(10), 1),
-        (exact_MG, path(9), 12),
-        (exact_MG, path(10), 12),
+    cases = [  # (extremal, argument, elements, repairs, search colorings, vertices colored)
+        (exact_M, 6, 2 ** 6, 4, 0, 0),
+        (exact_M, 8, 2 ** 8, 8, 0, 0),
+        (exact_MG, complete_multipartite((2, 2, 2)), 2 ** 6, 3, 0, 0),
+        (exact_MG, all_loops(10), 2 ** 10, 1, 0, 0),
+        (exact_MG, path(9), 2 ** 9, 12, 0, 0),
+        (exact_MG, path(10), 2 ** 10, 12, 0, 0),
+        (max_clique, random_instance(60, 0.5, 1), 60, 4, 91, 1203),
+        (max_clique, random_instance(80, 0.7, 2), 80, 8, 600, 14625),
+        (max_clique, random_instance(120, 0.3, 3), 120, 4, 212, 3077),
     ]
-    for extremal, arg, tried in cases:
+    for extremal, arg, elements, tried, colorings, vertices in cases:
         colored.clear()
         repairs.clear()
         extremal(arg)
-        assert (len(colored), sum(colored), len(repairs)) == (0, 0, tried), (extremal.__name__, arg)
+        root, *search = colored
+        assert (root, len(repairs), len(search), sum(search)) == (
+            elements, tried, colorings, vertices), (extremal.__name__, arg)
 
 
 def built_instance(monkeypatch, extremal, *args) -> CliqueInstance:
@@ -448,11 +461,23 @@ def test_class_cover_meets_the_size():
 
 def test_forced_fallback_keeps_the_witnesses(monkeypatch):
     """With every repair giving up, each completion the class count does not
-    refute goes to the exact search, and the witnesses stay the same."""
+    refute goes to the exact search, and the witnesses stay the same; the
+    search work on path(9) is pinned after the root cover."""
     expected = exact_MG(path(9)).witness
     repairs = []
     searches = []
+    colored = []
     search = solver._search
+    cover = solver._clique_cover
+    color_order = solver._greedy_color_order
+
+    def counted_cover(rows):
+        colored.append(len(rows))
+        return cover(rows)
+
+    def colour(p, rows):
+        colored.append(p.bit_count())
+        return color_order(p, rows)
 
     def give_up(rows, known, hit, cand, need):
         repairs.append(need)
@@ -464,6 +489,8 @@ def test_forced_fallback_keeps_the_witnesses(monkeypatch):
 
     monkeypatch.setattr(solver, "_repair", give_up)
     monkeypatch.setattr(solver, "_search", counted)
+    monkeypatch.setattr(solver, "_clique_cover", counted_cover)
+    monkeypatch.setattr(solver, "_greedy_color_order", colour)
     for n in range(1, 10):
         repairs.clear()
         searches.clear()
@@ -472,8 +499,11 @@ def test_forced_fallback_keeps_the_witnesses(monkeypatch):
         assert searches == [need for need in repairs if need], n
     repairs.clear()
     searches.clear()
+    colored.clear()
     assert exact_MG(path(9)).witness == expected
     assert searches == [need for need in repairs if need] and len(searches) >= 12
+    root, *search_colored = colored
+    assert (root, len(search_colored), sum(search_colored)) == (2 ** 9, 4137, 694071)
 
 
 def test_kernel_search_without_greedy(monkeypatch):

@@ -298,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("exact-m", _cmd_exact_m, help="exact maximum pairwise-skewincident family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--override-cap", action="store_true", dest="override_cap",
-                   help="allow n up to 12 (you own the cost)")
+                   help=f"allow n up to {solver.MAX_SUBSET_VERTICES} (you own the cost)")
 
     p = add("graph-m", _cmd_graph_m, help="exact maximum pairwise-neighbor subset family")
     p.add_argument("--graph", dest="graph_spec", required=True,

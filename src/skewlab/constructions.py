@@ -17,6 +17,7 @@ from .bitstring import (
 )
 
 MAX_ENUMERATION_LENGTH = 24
+MAX_DISJOINTNESS_LENGTH = 12
 
 
 class NotPairwiseSkewincidentError(ValueError):
@@ -118,8 +119,8 @@ def disjointness_counterexample(n: int) -> tuple[BitString, BitString] | None:
     the submasks y >= x of the complement of infl(x) are visited, in the
     order of the full pair scan.
     """
-    if not 1 <= n <= 12:
-        raise ValueError(f"n must be in [1, 12], got {n}")
+    if not 1 <= n <= MAX_DISJOINTNESS_LENGTH:
+        raise ValueError(f"n must be in [1, {MAX_DISJOINTNESS_LENGTH}], got {n}")
     g = [gamma_bits(x, n) for x in range(1 << n)]
     full = (1 << n) - 1
     for x in range(1 << n):

@@ -20,7 +20,9 @@ gives the Koenig cover, then an exact search of the Nemhauser-Trotter
 kernel); greedy cliques of H cover every element and bound any family by
 their number; and the lexicographically first witness is decided step by
 step by counting live classes, repairing a carried optimum, or else an
-iterative branch-and-bound search. One augmenting-path matcher,
+iterative branch-and-bound search. Every search reads H's own rows, and
+one greedy H-clique cover, ``_clique_cover``, gives both the root classes
+and the search's colour bound. One augmenting-path matcher,
 ``max_matching``, serves both this and the Sperner sweep's level matchings.
 """
 
@@ -124,71 +126,54 @@ class ExtremalResult(Record):
         object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
-def _greedy_color_order(p: int, rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Order the candidate set by greedy color class; the class number of a
-    vertex bounds the largest clique inside the candidates up to it."""
-    order: list[int] = []
-    bounds: list[int] = []
-    color = 0
-    rest = p
-    while rest:
-        color += 1
-        avail = rest
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            avail &= ~rows[v] & ~low
-            rest ^= low
-            order.append(v)
-            bounds.append(color)
-    return order, bounds
-
-
 def _greedy_clique(rows: Sequence[int], cand: int, need: int) -> int:
-    """A clique inside candidate set ``cand``, grown by repeatedly taking the
-    lowest common candidate until it has ``need`` members or none is left;
-    a mask."""
-    clique = have = 0
+    """A family inside candidate set ``cand``, no two members adjacent in H,
+    grown by repeatedly taking the lowest candidate left until it has
+    ``need`` members or none is left; a mask."""
+    family = have = 0
     while have < need and cand:
         low = cand & -cand
-        clique |= low
+        family |= low
         have += 1
-        cand &= rows[low.bit_length() - 1]
-    return clique
+        cand &= ~(rows[low.bit_length() - 1] | low)
+    return family
 
 
-def _search(rrows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | None:
-    """The largest clique inside candidate set ``p`` with more than ``floor``
-    members, or None; returns as soon as a clique reaches ``stop`` members.
+def _search(rows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | None:
+    """The largest family inside candidate set ``p``, no two members adjacent
+    in H, with more than ``floor`` members, or None; returns as soon as a
+    family reaches ``stop`` members.
 
-    Frames are [candidates, color order, color bounds]. A frame branches on
-    its last-colored vertex, removed from its candidates first, and ends when
-    the clique plus that vertex's color bound cannot beat the floor; every
-    clique that does beat it raises the floor."""
+    Frames are [candidates, their ``_clique_cover``]. A frame branches on the
+    highest vertex of its last class, removed from its candidates first, and
+    ends when the family plus the number of classes left cannot beat the
+    floor; every family that does beat it raises the floor."""
     best = None
-    clique: list[int] = []
-    stack = [[p, *_greedy_color_order(p, rrows)]]
+    family: list[int] = []
+    stack = [[p, _clique_cover(rows, p)]]
     while stack:
         frame = stack[-1]
-        p, corder, cbounds = frame
-        if not corder or len(clique) + cbounds[-1] <= floor:
+        p, classes = frame
+        if not classes or len(family) + len(classes) <= floor:
             stack.pop()
             if stack:
-                clique.pop()
+                family.pop()
             continue
-        v = corder.pop()
-        cbounds.pop()
-        frame[0] = p & ~(1 << v)
-        clique.append(v)
-        if len(clique) > floor:
-            best, floor = clique.copy(), len(clique)
+        v = classes[-1].bit_length() - 1
+        classes[-1] ^= 1 << v
+        if not classes[-1]:
+            classes.pop()
+        frame[0] = p = p ^ 1 << v
+        family.append(v)
+        if len(family) > floor:
+            best, floor = family.copy(), len(family)
             if floor >= stop:
                 return best
-        sub = p & rrows[v]
+        sub = p & ~rows[v]
         if sub:
-            stack.append([sub, *_greedy_color_order(sub, rrows)])
+            stack.append([sub, _clique_cover(rows, sub)])
         else:
-            clique.pop()
+            family.pop()
     return best
 
 
@@ -288,13 +273,13 @@ def _unrelated_graph(g: Graph) -> tuple[list[int], list[list[int]], list[bool]]:
     return pos, adj, kept
 
 
-def _clique_cover(rows: Sequence[int]) -> list[int]:
-    """Greedy H-cliques covering every vertex, as masks: each grows from the
-    lowest uncovered vertex by repeatedly taking the lowest one related in H
-    to all so far. These are the engine's root color classes, and a family
-    takes at most one member of each, so their number bounds its size."""
+def _clique_cover(rows: Sequence[int], rest: int) -> list[int]:
+    """Greedy H-cliques covering the candidate set ``rest``, as masks: each
+    grows from the lowest uncovered candidate by repeatedly taking the lowest
+    one adjacent in H to all so far. A family takes at most one member of
+    each, so their number bounds its size: the engine's root classes, and
+    the colour bound of every ``_search`` frame."""
     classes = []
-    rest = (1 << len(rows)) - 1
     while rest:
         avail, members = rest, 0
         while avail:
@@ -304,15 +289,6 @@ def _clique_cover(rows: Sequence[int]) -> list[int]:
         rest ^= members
         classes.append(members)
     return classes
-
-
-def _related_rows(rows: Sequence[int], cand: int) -> list[int]:
-    """The relation's rows inside ``cand``: distinct vertices outside each
-    other's H-row; zero outside ``cand``."""
-    related = [0] * len(rows)
-    for v in _bits(cand):
-        related[v] = cand & ~(rows[v] | 1 << v)
-    return related
 
 
 def _cover_family(adj: Sequence[Sequence[int]], rows: Sequence[int], kept: Sequence[bool]) -> int:
@@ -342,10 +318,9 @@ def _cover_family(adj: Sequence[Sequence[int]], rows: Sequence[int], kept: Seque
     zero = left & ~right & _union(1 << v for v, k in enumerate(kept) if k)
     kernel = full & ~(left ^ right)
     half = kernel.bit_count() // 2
-    related = _related_rows(rows, kernel)
-    family = _greedy_clique(related, kernel, half)
+    family = _greedy_clique(rows, kernel, half)
     if family.bit_count() < half:
-        found = _search(related, kernel, family.bit_count(), half)
+        found = _search(rows, kernel, family.bit_count(), half)
         if found is not None:
             family = _union(1 << v for v in found)
     return zero | family
@@ -353,21 +328,16 @@ def _cover_family(adj: Sequence[Sequence[int]], rows: Sequence[int], kept: Seque
 
 def _repair(rows: Sequence[int], known: int, hit: int, cand: int, need: int) -> int:
     """A family of up to ``need`` members inside ``cand``, grown from the
-    carried optimum ``known``: its members outside ``hit`` stay, and the
-    lowest vertices related to all members so far are added, taken from the
-    H-neighbours of the dropped ones. No other candidate can join, since the
-    optimum ``known`` leaves none related to all of its members."""
+    carried optimum ``known``: its members outside ``hit`` stay, and
+    ``_greedy_clique`` adds the lowest vertices related to all members so
+    far, taken from the H-neighbours of the dropped ones. No other candidate
+    can join, since the optimum ``known`` leaves none related to all of its
+    members."""
     dropped = known & hit
     family = known ^ dropped
     freed = cand & _union(rows[d] for d in _bits(dropped))
     avail = _union(1 << w for w in _bits(freed) if not rows[w] & family)
-    have = family.bit_count()
-    while have < need and avail:
-        low = avail & -avail
-        family |= low
-        have += 1
-        avail &= ~(rows[low.bit_length() - 1] | low)
-    return family
+    return family | _greedy_clique(rows, avail, need - family.bit_count())
 
 
 def _family(pos: Sequence[int], adj: Sequence[Sequence[int]],
@@ -380,7 +350,8 @@ def _family(pos: Sequence[int], adj: Sequence[Sequence[int]],
     from ``_cover_family``. The witness is the lexicographically first
     optimum: elements are committed in ascending index order whenever a
     completion to that size still exists. A largest family is carried along,
-    with a count of live candidates in each class of ``_clique_cover``.
+    with a count of live candidates in each class of ``_clique_cover``, the
+    greedy H-clique cover that also bounds the exact search on H's rows.
     Committing x drops x and its live H-neighbours. When x is not in the
     carried family, the completion is refuted if fewer than the needed
     number of classes stay live, else repaired from the carried family, and
@@ -388,7 +359,8 @@ def _family(pos: Sequence[int], adj: Sequence[Sequence[int]],
     """
     rows = [_union(map((1).__lshift__, a)) for a in adj]
     count = len(pos)
-    classes = _clique_cover(rows)
+    p = (1 << count) - 1  # candidates, in new labels, also as flags
+    classes = _clique_cover(rows, p)
     colour = [0] * count
     for c, members in enumerate(classes):
         for v in _bits(members):
@@ -398,7 +370,6 @@ def _family(pos: Sequence[int], adj: Sequence[Sequence[int]],
     known = _cover_family(adj, rows, kept)  # a carried optimum's members beyond the witness
     size = known.bit_count()
     witness: list[int] = []
-    p = (1 << count) - 1  # candidates, in new labels, also as flags
     alive = bytearray(b"\1") * count
     for x in range(count):
         if len(witness) == size:
@@ -422,7 +393,7 @@ def _family(pos: Sequence[int], adj: Sequence[Sequence[int]],
             if live_classes - emptied >= need:
                 completion = _repair(rows, known, hit_mask, cand, need)
                 if completion.bit_count() < need:
-                    found = _search(_related_rows(rows, cand), cand, need - 1, need)
+                    found = _search(rows, cand, need - 1, need)
                     completion = None if found is None else _union(1 << w for w in found)
             if completion is None:
                 for w in hit:

@@ -1,10 +1,13 @@
 """Structural properties of the ``skewlab`` sources, read from their syntax
 trees: stdlib-only imports without ``dataclasses``, an acyclic import graph
-between the package's modules, and no function that calls itself."""
+between the package's modules, no function that calls itself, and no
+definition that nothing reads."""
 
 import ast
 import subprocess
 import sys
+from collections import Counter
+from collections.abc import Iterator
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -117,24 +120,42 @@ def test_no_function_calls_itself():
     assert recursive == {}
 
 
+def mentions(tree: ast.AST) -> Iterator[str | None]:
+    """Every name ``tree`` mentions as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from (node.name, node.asname)
+
+
+def definitions(tree: ast.Module) -> Iterator[ast.AST]:
+    """Functions, methods and classes of ``tree``, dunders excepted."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))):
+            yield node
+
+
 def unreferenced_definitions(defined: dict[str, ast.Module],
                              readers: list[ast.Module]) -> list[str]:
-    """Functions, methods and classes of ``defined`` (dunders excepted) whose
-    name no ``readers`` tree mentions as a name, an attribute or an import."""
-    named = set()
-    for tree in readers:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.update((node.name, node.asname))
+    """Definitions of ``defined`` whose name no ``readers`` tree mentions."""
+    named = {name for tree in readers for name in mentions(tree)}
     return [f"{module}:{node.lineno} {node.name}"
-            for module, tree in defined.items() for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and node.name not in named]
+            for module, tree in defined.items() for node in definitions(tree)
+            if node.name not in named]
+
+
+def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Private definitions of ``trees`` (a leading underscore) that the trees
+    mention only inside the definition itself."""
+    total = Counter(name for tree in trees.values() for name in mentions(tree))
+    return [f"{module}:{node.lineno} {node.name}"
+            for module, tree in trees.items() for node in definitions(tree)
+            if node.name.startswith("_")
+            and Counter(mentions(node))[node.name] == total[node.name]]
 
 
 def test_every_definition_is_referenced():
@@ -147,3 +168,15 @@ def test_every_definition_is_referenced():
                for folder in ("src", "tests", "bench")
                for path in sorted((root / folder).rglob("*.py"))]
     assert unreferenced_definitions(parsed_modules(), readers) == []
+
+
+def test_every_private_definition_is_read_by_the_package():
+    """A private helper that only tests call, or only itself, is dead code:
+    tests may not keep it alive."""
+    assert unreferenced_private_definitions({"m": ast.parse(
+        "def _used():\n    return 1\n"
+        "def _self_only():\n    return _self_only\n"
+        "class _K:\n    def __len__(self):\n        return 0\n"
+        "    def _helper(self):\n        return _used()\n"
+        "x = _K()\n")}) == ["m:3 _self_only", "m:8 _helper"]
+    assert unreferenced_private_definitions(parsed_modules()) == []

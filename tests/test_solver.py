@@ -157,23 +157,17 @@ def test_search_work_is_pinned(monkeypatch):
     colored = []
     repairs = []
     cover = solver._clique_cover
-    color_order = solver._greedy_color_order
     repair = solver._repair
 
-    def counted_cover(rows):
-        colored.append(len(rows))
-        return cover(rows)
-
-    def counted(p: int, rows):
-        colored.append(p.bit_count())
-        return color_order(p, rows)
+    def counted(rows, rest: int):
+        colored.append(rest.bit_count())
+        return cover(rows, rest)
 
     def counted_repair(rows, known, hit, cand, need):
         repairs.append(need)
         return repair(rows, known, hit, cand, need)
 
-    monkeypatch.setattr(solver, "_clique_cover", counted_cover)
-    monkeypatch.setattr(solver, "_greedy_color_order", counted)
+    monkeypatch.setattr(solver, "_clique_cover", counted)
     monkeypatch.setattr(solver, "_repair", counted_repair)
     cases = [  # (extremal, argument, elements, repairs, search colorings, vertices colored)
         (exact_M, 6, 2 ** 6, 4, 0, 0),
@@ -193,6 +187,40 @@ def test_search_work_is_pinned(monkeypatch):
         root, *search = colored
         assert (root, len(repairs), len(search), sum(search)) == (
             elements, tried, colorings, vertices), (extremal.__name__, arg)
+
+
+def test_search_and_greedy_read_h_rows():
+    """``_search`` and ``_greedy_clique`` on random H rows and candidate
+    sets p, against the independence number alpha of H inside p, brute
+    forced over every subset: the search finds nothing above a floor of
+    alpha or more, else min(alpha, stop) members of p with no two adjacent
+    in H; greedy takes at most ``need`` such members and stops short only
+    when every candidate left is adjacent to one of them."""
+    rng = random.Random(20)
+    for _ in range(80):
+        vertices = rng.randint(1, 14)
+        rows = list(random_instance(vertices, rng.uniform(0.1, 0.9), rng.getrandbits(32)).rows)
+        alpha = [0] * (1 << vertices)  # alpha[s]: without s's lowest vertex v, or with it and none of N(v)
+        for s in range(1, 1 << vertices):
+            low = s & -s
+            alpha[s] = max(alpha[s ^ low], 1 + alpha[s & ~(rows[low.bit_length() - 1] | low)])
+        for _ in range(10):
+            p = rng.getrandbits(vertices)
+            floor = rng.randint(0, vertices)
+            stop = rng.randint(floor + 1, vertices + 1)
+            found = solver._search(rows, p, floor, stop)
+            if alpha[p] <= floor:
+                assert found is None, (rows, p, floor)
+            else:
+                family = sum(1 << v for v in found)
+                assert len(found) == family.bit_count() == min(alpha[p], stop), (rows, p, floor)
+                assert family & ~p == 0 and not any(rows[v] & family for v in found)
+            need = rng.randint(0, vertices)
+            family = solver._greedy_clique(rows, p, need)
+            members = list(solver._bits(family))
+            assert family & ~p == 0 and not any(rows[v] & family for v in members)
+            assert len(members) == need or (len(members) < need and all(
+                rows[v] & family for v in solver._bits(p & ~family))), (rows, p, need)
 
 
 def built_instance(monkeypatch, extremal, *args) -> CliqueInstance:
@@ -442,7 +470,7 @@ def class_cover_certificate(g: Graph, size: int) -> None:
     pos, adj, _ = solver._unrelated_graph(g)
     order = sorted(range(len(pos)), key=pos.__getitem__)
     rows = [sum(1 << w for w in a) for a in adj]
-    classes = [[order[v] for v in solver._bits(c)] for c in solver._clique_cover(rows)]
+    classes = [[order[v] for v in solver._bits(c)] for c in solver._clique_cover(rows, (1 << len(rows)) - 1)]
     assert sorted(x for members in classes for x in members) == list(range(len(pos)))
     nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
     for members in classes:
@@ -469,15 +497,10 @@ def test_forced_fallback_keeps_the_witnesses(monkeypatch):
     colored = []
     search = solver._search
     cover = solver._clique_cover
-    color_order = solver._greedy_color_order
 
-    def counted_cover(rows):
-        colored.append(len(rows))
-        return cover(rows)
-
-    def colour(p, rows):
-        colored.append(p.bit_count())
-        return color_order(p, rows)
+    def colour(rows, rest):
+        colored.append(rest.bit_count())
+        return cover(rows, rest)
 
     def give_up(rows, known, hit, cand, need):
         repairs.append(need)
@@ -489,8 +512,7 @@ def test_forced_fallback_keeps_the_witnesses(monkeypatch):
 
     monkeypatch.setattr(solver, "_repair", give_up)
     monkeypatch.setattr(solver, "_search", counted)
-    monkeypatch.setattr(solver, "_clique_cover", counted_cover)
-    monkeypatch.setattr(solver, "_greedy_color_order", colour)
+    monkeypatch.setattr(solver, "_clique_cover", colour)
     for n in range(1, 10):
         repairs.clear()
         searches.clear()
@@ -507,8 +529,9 @@ def test_forced_fallback_keeps_the_witnesses(monkeypatch):
 
 
 def test_kernel_search_without_greedy(monkeypatch):
-    """The Nemhauser-Trotter kernel's family comes from the exact search
-    when greedy adds nothing, with the same sizes and witnesses."""
+    """The Nemhauser-Trotter kernel's family, and every completion a repair
+    no longer grows, comes from the exact search when greedy adds nothing,
+    with the same sizes and witnesses."""
     graphs = [path(n) for n in range(1, 10)] + [complete_multipartite((2, 2, 2))]
     expected = [exact_MG(g) for g in graphs]
     monkeypatch.setattr(solver, "_greedy_clique", lambda rows, cand, need: 0)

@@ -154,7 +154,7 @@ def _search(rows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | N
     while stack:
         frame = stack[-1]
         p, classes = frame
-        if not classes or len(family) + len(classes) <= floor:
+        if len(family) + len(classes) <= floor:
             stack.pop()
             if stack:
                 family.pop()

@@ -200,7 +200,8 @@ def test_search_and_greedy_read_h_rows():
     for _ in range(80):
         vertices = rng.randint(1, 14)
         rows = list(random_instance(vertices, rng.uniform(0.1, 0.9), rng.getrandbits(32)).rows)
-        alpha = [0] * (1 << vertices)  # alpha[s]: without s's lowest vertex v, or with it and none of N(v)
+        # alpha[s]: without s's lowest vertex v, or with v and none of its H-neighbours
+        alpha = [0] * (1 << vertices)
         for s in range(1, 1 << vertices):
             low = s & -s
             alpha[s] = max(alpha[s ^ low], 1 + alpha[s & ~(rows[low.bit_length() - 1] | low)])
@@ -470,7 +471,8 @@ def class_cover_certificate(g: Graph, size: int) -> None:
     pos, adj, _ = solver._unrelated_graph(g)
     order = sorted(range(len(pos)), key=pos.__getitem__)
     rows = [sum(1 << w for w in a) for a in adj]
-    classes = [[order[v] for v in solver._bits(c)] for c in solver._clique_cover(rows, (1 << len(rows)) - 1)]
+    cover = solver._clique_cover(rows, (1 << len(rows)) - 1)
+    classes = [[order[v] for v in solver._bits(c)] for c in cover]
     assert sorted(x for members in classes for x in members) == list(range(len(pos)))
     nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
     for members in classes:

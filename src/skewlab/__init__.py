@@ -13,31 +13,19 @@ from .bitstring import (
     BitString,
     Family,
     LengthMismatchError,
-    comparable,
     gamma,
     influence,
-    is_fibonacci,
-    leq,
     skewincident,
     support,
     weight,
 )
-from .constructions import (
-    NotPairwiseSkewincidentError,
-    enumerate_C,
-    enumerate_fibonacci,
-    greedy_maximal_extension,
-    verify_disjointness_argument,
-    verify_pairwise_skewincident,
-)
+from .constructions import enumerate_C, enumerate_fibonacci, verify_pairwise_skewincident
 from .counting import (
     CrossoverNotFoundError,
     GammaDistribution,
-    SplitMix64,
     TailEstimate,
     count_C,
     crossover_scan,
-    expected_gamma,
     fibonacci_count,
     gamma_distribution,
     monte_carlo_tail,
@@ -47,7 +35,6 @@ from .graphs import Graph, Partition, all_loops, complete_multipartite, path, sk
 from .solver import (
     CliqueInstance,
     ExtremalResult,
-    enumerate_max_clique,
     exact_M,
     exact_MG,
     exact_attractive,
@@ -55,12 +42,6 @@ from .solver import (
     multipartite_M,
 )
 from .report import SandwichReport, sandwich_check
-from .sperner import (
-    AntichainResult,
-    max_antichain,
-    max_antichain_oracle,
-    minimum_chain_cover,
-    projection_bound_check,
-)
+from .sperner import AntichainResult, max_antichain, projection_bound_check
 
 __version__ = "0.1.0"

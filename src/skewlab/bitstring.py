@@ -87,33 +87,9 @@ class BitString(Record):
 
     def get(self, position: int) -> int:
         """Bit value at a 1-based position."""
-        self._check_position(position)
-        return self.bits >> (self.length - position) & 1
-
-    def flip(self, position: int) -> BitString:
-        """Copy of this string with the bit at a 1-based position inverted."""
-        self._check_position(position)
-        return BitString(self.length, self.bits ^ (1 << (self.length - position)))
-
-    def reverse(self) -> BitString:
-        """Copy with the positions read right to left."""
-        rev = 0
-        b = self.bits
-        for _ in range(self.length):
-            rev = (rev << 1) | (b & 1)
-            b >>= 1
-        return BitString(self.length, rev)
-
-    def _check_position(self, position: int) -> None:
         if not 1 <= position <= self.length:
             raise ValueError(f"position {position} out of [1, {self.length}]")
-
-
-def _check_same_length(x: BitString, y: BitString) -> None:
-    if x.length != y.length:
-        raise LengthMismatchError(
-            f"incompatible operands: lengths {x.length} and {y.length}"
-        )
+        return self.bits >> (self.length - position) & 1
 
 
 def weight(x: BitString) -> int:
@@ -145,33 +121,11 @@ def skewincident(x: BitString, y: BitString) -> bool:
 
     Symmetric in its arguments; always false for length-1 strings.
     """
-    _check_same_length(x, y)
+    if x.length != y.length:
+        raise LengthMismatchError(
+            f"incompatible operands: lengths {x.length} and {y.length}"
+        )
     return skewincident_bits(x.bits, y.bits)
-
-
-def leq(x: BitString, y: BitString) -> bool:
-    """Coordinatewise dominance: every set position of x is set in y."""
-    _check_same_length(x, y)
-    return x.bits & ~y.bits == 0
-
-
-def comparable(x: BitString, y: BitString) -> bool:
-    """True iff x <= y coordinatewise or y <= x coordinatewise."""
-    _check_same_length(x, y)
-    return x.bits & ~y.bits == 0 or y.bits & ~x.bits == 0
-
-
-def is_fibonacci(x: BitString) -> bool:
-    """True iff no two consecutive positions are both 1."""
-    return x.bits & (x.bits >> 1) == 0
-
-
-def all_strings(n: int) -> Iterator[BitString]:
-    """All length-n strings in lexicographic order."""
-    if not 1 <= n <= MAX_LENGTH:
-        raise ValueError(f"length must be in [1, {MAX_LENGTH}], got {n}")
-    for bits in range(1 << n):
-        yield BitString(n, bits)
 
 
 class Family(Record):

@@ -78,7 +78,7 @@ def _emit_result(args: argparse.Namespace, extra: dict[str, object],
     columns = list(extra) + ["size", "method", "witness"]
     row = list(extra.values()) + [
         result.size,
-        result.method,
+        "branch-and-bound",
         " ".join(str(solver.witness_descriptor(w)) for w in result.witness),
     ]
     if args.timing:

@@ -1,31 +1,14 @@
 """Materialized string families: the high-gamma construction, the
-no-adjacent-ones family, greedy maximal extensions, and (de)serialization."""
+no-adjacent-ones family, their checks, and their text and JSON forms."""
 
 from __future__ import annotations
 
 import json
 
-from .bitstring import (
-    BitString,
-    Family,
-    LengthMismatchError,
-    gamma,
-    gamma_bits,
-    influence_bits,
-    skewincident_bits,
-    submasks,
-)
+from .bitstring import BitString, Family, gamma_bits, influence_bits, skewincident_bits, submasks
 
 MAX_ENUMERATION_LENGTH = 24
 MAX_DISJOINTNESS_LENGTH = 12
-
-
-class NotPairwiseSkewincidentError(ValueError):
-    """Input family violates pairwise skewincidence; carries the first bad pair."""
-
-    def __init__(self, pair: tuple[BitString, BitString]):
-        self.pair = pair
-        super().__init__(f"family is not pairwise skewincident: ({pair[0]}, {pair[1]})")
 
 
 def _check_enumeration_length(n: int) -> None:
@@ -94,30 +77,14 @@ def verify_pairwise_skewincident(
     return None
 
 
-def _gamma_sum_implication(x: int, y: int, gamma_sum: int, n: int) -> bool:
-    """The disjointness argument on raw bits: gamma sum > 2n forces skewincidence."""
-    return gamma_sum <= 2 * n or skewincident_bits(x, y)
-
-
-def verify_disjointness_argument(x: BitString, y: BitString) -> bool:
-    """Check on one pair: if gamma(x) + gamma(y) > 2n then x, y are skewincident.
-
-    Vacuously true when the gamma sum does not exceed 2n.
-    """
-    if x.length != y.length:
-        raise LengthMismatchError(
-            f"incompatible operands: lengths {x.length} and {y.length}"
-        )
-    return _gamma_sum_implication(x.bits, y.bits, gamma(x) + gamma(y), x.length)
-
-
 def disjointness_counterexample(n: int) -> tuple[BitString, BitString] | None:
     """The first pair x <= y of length-n strings (by value) that breaks the
-    disjointness argument, or None when it holds on every pair.
+    disjointness argument, that a gamma sum above 2n forces skewincidence,
+    or None when it holds on every pair.
 
     Only a pair that is not skewincident can break it, so for each x only
-    the submasks y >= x of the complement of infl(x) are visited, in the
-    order of the full pair scan.
+    the submasks y >= x of the complement of infl(x), the strings not
+    skewincident with x, are visited, in the order of the full pair scan.
     """
     if not 1 <= n <= MAX_DISJOINTNESS_LENGTH:
         raise ValueError(f"n must be in [1, {MAX_DISJOINTNESS_LENGTH}], got {n}")
@@ -125,32 +92,9 @@ def disjointness_counterexample(n: int) -> tuple[BitString, BitString] | None:
     full = (1 << n) - 1
     for x in range(1 << n):
         for y in submasks(full & ~influence_bits(x, n), x):
-            if not _gamma_sum_implication(x, y, g[x] + g[y], n):
+            if g[x] + g[y] > 2 * n and not skewincident_bits(x, y):
                 return BitString(n, x), BitString(n, y)
     return None
-
-
-def greedy_maximal_extension(family: Family) -> Family:
-    """Grow a pairwise-skewincident family to a maximal one.
-
-    Repeatedly adds the lexicographically smallest missing string that is
-    skewincident with every current member; one ascending pass suffices
-    because adding members never makes a previously rejected string viable.
-    """
-    violation = verify_pairwise_skewincident(family)
-    if violation is not None:
-        raise NotPairwiseSkewincidentError(violation)
-    n = family.length
-    _check_enumeration_length(n)
-    members = set(family.masks)
-    infl = [influence_bits(b, n) for b in family.masks]
-    for cand in range(1 << n):
-        if cand in members:
-            continue
-        if all(cand & f for f in infl):
-            members.add(cand)
-            infl.append(influence_bits(cand, n))
-    return Family(n, tuple(sorted(members)))
 
 
 def family_to_lines(family: Family) -> str:
@@ -159,25 +103,7 @@ def family_to_lines(family: Family) -> str:
     return "".join(f"{m:0{n}b}\n" for m in family.masks)
 
 
-def family_from_lines(text: str, length: int | None = None) -> Family:
-    """Inverse of family_to_lines; ``length`` is required for an empty text."""
-    literals = [line for line in text.splitlines() if line.strip()]
-    if not literals and length is None:
-        raise ValueError("cannot infer length of an empty family")
-    return Family.from_literals(literals, length)
-
-
 def family_to_json(family: Family) -> str:
     """JSON array of literals in lexicographic order."""
     n = family.length
     return json.dumps([f"{m:0{n}b}" for m in family.masks])
-
-
-def family_from_json(text: str, length: int | None = None) -> Family:
-    """Inverse of family_to_json; ``length`` is required for an empty array."""
-    literals = json.loads(text)
-    if not isinstance(literals, list) or not all(isinstance(s, str) for s in literals):
-        raise ValueError("expected a JSON array of binary literals")
-    if not literals and length is None:
-        raise ValueError("cannot infer length of an empty family")
-    return Family.from_literals(literals, length)

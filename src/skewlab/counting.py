@@ -15,10 +15,9 @@ nears max_n instead of growing to 2n + 1 slots.
 A column of bounds floor(2^(an/k)) takes one exact k-th root.
 
 The sampler checks the tail against uniform draws from the SplitMix64
-stream. ``SplitMix64`` is the stream's readable definition; the sampler
-evaluates the same stream a block of draws at a time, one draw per lane of a
-single integer, so a block costs a few dozen whole-integer operations
-instead of a Python loop per draw.
+stream, evaluated a block of draws at a time, one draw per lane of a single
+integer, so a block costs a few dozen whole-integer operations instead of a
+Python loop per draw.
 """
 
 from __future__ import annotations
@@ -66,12 +65,6 @@ class CrossoverNotFoundError(ValueError):
     """Raised when no scan prefix satisfies the requested inequality."""
 
 
-def _check_seed(seed: int) -> None:
-    # a seed is the 64-bit state; reducing it would give two seeds one stream
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-
-
 def _slot_sum(x: int, width: int) -> int:
     """The sum of the ``width``-bit slots of x, folded in halves: the high
     slots are added onto the low ones until one slot is left. Each slot's
@@ -103,20 +96,6 @@ class GammaDistribution(Record):
                  for i in range(0, len(raw), _SLOT_BYTES))
         return {v: c for v, c in enumerate(slots) if c}
 
-    def total(self) -> int:
-        return _slot_sum(self.packed, _SLOT_BITS)
-
-    def count_above(self, threshold: int) -> int:
-        """Number of strings with gamma strictly greater than ``threshold``."""
-        return _slot_sum(self.packed >> _SLOT_BITS * max(threshold + 1, 0), _SLOT_BITS)
-
-    def weighted_sum(self) -> int:
-        """Sum of gamma over all 2^n strings (an exact integer)."""
-        return sum(v * c for v, c in self.counts.items())
-
-    def expectation(self) -> Fraction:
-        return Fraction(self.weighted_sum(), 1 << self.n)
-
 
 def gamma_distribution_sweep(max_n: int) -> Iterator[GammaDistribution]:
     """Yield the exact gamma distribution for every n = 1..max_n in one pass,
@@ -140,11 +119,6 @@ def gamma_distribution_sweep(max_n: int) -> Iterator[GammaDistribution]:
         s00, s10, s11 = s00 + (s10 << w), (prev + s11) << w2, ((prev << w) + s11) << w2
         prev, cur = cur, s00 + s10
         yield GammaDistribution(n, cur)
-
-
-def gamma_distributions_upto(max_n: int) -> list[GammaDistribution]:
-    """Distributions for every n in [1, max_n], sharing a single DP sweep."""
-    return list(gamma_distribution_sweep(max_n))
 
 
 def gamma_distribution(n: int) -> GammaDistribution:
@@ -223,11 +197,6 @@ def tail_probability(n: int) -> Fraction:
     return Fraction((1 << n) - count_C(n), 1 << n)
 
 
-def expected_gamma(n: int) -> Fraction:
-    """Exact expectation of gamma for a uniform length-n string."""
-    return gamma_distribution(n).expectation()
-
-
 def fibonacci_count(n: int) -> int:
     """Number of length-n strings with no two adjacent 1s.
 
@@ -297,11 +266,6 @@ def floor_pow2(numerator: int, denominator: int) -> int:
         raise ValueError("exponent must be a nonnegative rational")
     g = math.gcd(numerator, denominator)
     return floor_kth_root(1 << numerator // g, denominator // g)
-
-
-def ceil_pow2(numerator: int, denominator: int) -> int:
-    """ceil(2**(numerator/denominator)), exactly."""
-    return floor_pow2(numerator, denominator) + (numerator % denominator != 0)
 
 
 def floor_pow2_upto(numerator: int, denominator: int, max_n: int) -> list[int]:
@@ -375,35 +339,6 @@ class TailEstimate(Record):
         object.__setattr__(self, "standard_error", standard_error)
 
 
-class SplitMix64:
-    """SplitMix64 generator: 64-bit state, fixed odd increment, avalanche mix.
-
-    Deterministic for a given seed in [0, 2^64), the same seeds that
-    ``monte_carlo_tail`` accepts. The step is
-
-        state += 0x9E3779B97F4A7C15
-        z = state
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-        return z ^ (z >> 31)
-
-    with all arithmetic modulo 2^64.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        _check_seed(seed)
-        self._state = seed
-
-    def next_uint64(self) -> int:
-        self._state = (self._state + _SM64_INCREMENT) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _SM64_MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-
 @lru_cache(maxsize=1)
 def _lane_constants(n: int) -> tuple[int, ...]:
     """The kernel's constants for length-n draws, built on first use: ONES (1
@@ -440,19 +375,30 @@ def _lanes_above(x: int, n: int) -> int:
 def monte_carlo_tail(n: int, samples: int, seed: int) -> TailEstimate:
     """Estimate Pr{gamma <= n} from ``samples`` seeded uniform draws.
 
-    Reproducible: draw i is the low n bits of output i of ``SplitMix64(seed)``,
-    so the same (n, samples, seed) gives the same estimate on any
-    implementation of that stream. The stream is evaluated _LANES draws at a
-    time, one draw per _LANE_BITS-wide lane of a single integer: the step,
-    the finalizer and the gamma test are whole-integer adds, shifts, masks
-    and multiplications by constants, none of which carries across a lane,
-    and one ``bit_count`` counts a block's draws with gamma > n.
+    Reproducible: draw i is the low n bits of output i of the SplitMix64
+    stream whose 64-bit state starts at ``seed``, so the same (n, samples,
+    seed) gives the same estimate on any implementation of that stream. Each
+    output advances the state and mixes it, all modulo 2^64:
+
+        state += 0x9E3779B97F4A7C15
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+        return z ^ (z >> 31)
+
+    The stream is evaluated _LANES draws at a time, one draw per
+    _LANE_BITS-wide lane of a single integer: the step, the finalizer and the
+    gamma test are whole-integer adds, shifts, masks and multiplications by
+    constants, none of which carries across a lane, and one ``bit_count``
+    counts a block's draws with gamma > n.
     """
     if not 1 <= n <= MAX_SAMPLING_LENGTH:
         raise ValueError(f"n must be in [1, {MAX_SAMPLING_LENGTH}], got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_seed(seed)
+    # a seed is the 64-bit state; reducing it would give two seeds one stream
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     ones, steps, stride, m64, lane_mask = _lane_constants(n)[:5]
     state = (steps + seed * ones) & m64  # lane t: the state after t + 1 steps
     above = 0

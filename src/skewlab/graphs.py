@@ -69,9 +69,6 @@ class Graph:
         """Neighborhood of u as a bitset (includes u itself for a loop)."""
         return self._rows[u]
 
-    def degree(self, u: int) -> int:
-        return self._rows[u].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u <= v; a loop appears as (u, u)."""
         out = []
@@ -93,15 +90,10 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count}, edges={self.edges()!r})"
 
-    def to_text(self) -> str:
-        """Text form: vertex count line, then one "u v" line per edge."""
-        lines = [str(self.vertex_count)]
-        lines += [f"{u} {v}" for u, v in self.edges()]
-        return "\n".join(lines) + "\n"
-
     @staticmethod
     def from_text(text: str) -> Graph:
-        """Parse the to_text format, rejecting malformed or out-of-range input."""
+        """Parse a vertex count line, then one "u v" line per edge; blank lines
+        are skipped, and malformed or out-of-range input is rejected."""
         lines = [line.strip() for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("empty graph text")

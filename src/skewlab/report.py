@@ -1,8 +1,9 @@
 """Typed tables and the claim-by-claim evidence reports.
 
 Cells hold exact values (int, Fraction, bool, None, str, float). CSV output
-uses RFC 4180 quoting with counts as decimal integers and rationals as
-"p/q", and round-trips losslessly through ``read_table_csv``. JSON output
+uses RFC 4180 quoting with counts as decimal integers, rationals as "p/q",
+booleans as "true"/"false" and None as the empty cell, so no cell loses
+precision and each parses back from its column's type. JSON output
 sorts keys and renders every integer as a decimal string so downstream
 consumers never lose precision to floating point.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Callable, Sequence
 
 from .counting import (
     MAX_DP_LENGTH,
@@ -89,34 +89,6 @@ def render(table: Table, fmt: str) -> str:
     if fmt == "markdown":
         return render_markdown(table)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-
-
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"not a boolean cell: {text!r}")
-
-
-def read_table_csv(text: str, parsers: Sequence[Callable[[str], object]]) -> Table:
-    """Parse render_csv output back into typed cells; "" parses to None."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if len(header) != len(parsers):
-        raise ValueError("parser count does not match column count")
-    rows = []
-    for raw in reader:
-        rows.append(
-            tuple(
-                None if cell == "" else parse(cell)
-                for parse, cell in zip(parsers, raw)
-            )
-        )
-    return Table(tuple(header), tuple(rows))
-
-
-BOOL = _parse_bool
 
 
 def theorem_table(max_n: int) -> Table:

@@ -13,14 +13,14 @@ There is one engine, ``_family``, and it works in the relation's
 complement, the unrelated graph H, which is sparse for the families here.
 Two builders feed it: subset families read H off the submasks of each
 subset's non-neighbourhood and leave the subsets a shifting lemma rules out
-to the witness pass; ``max_clique`` (mappings and the Sperner oracle)
-complements dense bitset rows. The size comes from the vertex-cover LP
-of H (a maximum matching on H's bipartite double cover, whose last round
-gives the Koenig cover, then an exact search of the Nemhauser-Trotter
-kernel); greedy cliques of H cover every element and bound any family by
-their number; and the lexicographically first witness is decided step by
-step by counting live classes, repairing a carried optimum, or else an
-iterative branch-and-bound search. Every search reads H's own rows, and
+to the witness pass; ``max_clique`` (mappings) complements dense bitset
+rows. The size comes from the vertex-cover LP of H (a maximum matching on
+H's bipartite double cover, whose last round gives the Koenig cover, then
+an exact search of the Nemhauser-Trotter kernel); greedy cliques of H
+cover every element and bound any family by their number; and the
+lexicographically first witness is decided step by step by counting live
+classes, repairing a carried optimum, or else an iterative
+branch-and-bound search. Every search reads H's own rows, and
 one greedy H-clique cover, ``_clique_cover``, gives both the root classes
 and the search's colour bound. One augmenting-path matcher,
 ``max_matching``, serves both this and the Sperner sweep's level matchings.
@@ -79,19 +79,6 @@ class CliqueInstance(Record):
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def from_relation(cls, count: int, relation: Callable[[int, int], bool]) -> CliqueInstance:
-        """Build from a symmetric predicate; relation(i, i) is never consulted."""
-        if not 1 <= count <= MAX_ELEMENTS:
-            raise ValueError(f"element count must be in [1, {MAX_ELEMENTS}], got {count}")
-        rows = [0] * count
-        for i in range(count):
-            for j in range(i + 1, count):
-                if relation(i, j):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return cls(count, tuple(rows))
-
-    @classmethod
     def from_neighborhoods(cls, nbrs: Sequence[int], codes: Sequence[int]) -> CliqueInstance:
         """Relate distinct elements a and b iff codes[b] meets the union of
         nbrs[v] over the vertices v of codes[a].
@@ -109,20 +96,16 @@ class CliqueInstance(Record):
         rows = [_union(reach[v] for v in _bits(code)) & ~(1 << e) for e, code in enumerate(codes)]
         return cls(len(codes), tuple(rows))
 
-    def related(self, i: int, j: int) -> bool:
-        return self.rows[i] >> j & 1 == 1
-
 
 class ExtremalResult(Record):
-    """Size and witness of an exact extremal computation; ``method`` is
-    "branch-and-bound" or "enumeration"."""
+    """Size and witness of an exact extremal computation by the
+    branch-and-bound engine."""
 
-    __slots__ = ("size", "witness", "method", "elapsed_ms")
+    __slots__ = ("size", "witness", "elapsed_ms")
 
-    def __init__(self, size: int, witness: list, method: str, elapsed_ms: float = 0.0) -> None:
+    def __init__(self, size: int, witness: list, elapsed_ms: float = 0.0) -> None:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "method", method)
         object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
@@ -175,32 +158,6 @@ def _search(rows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | N
         else:
             family.pop()
     return best
-
-
-def enumerate_max_clique(instance: CliqueInstance) -> ExtremalResult:
-    """Independent oracle: scan all 2^count subsets with an incremental
-    is-clique table. Usable up to 20 elements; witness is the optimum with
-    the smallest subset bitmask."""
-    if instance.count > 20:
-        raise ValueError(f"enumeration is capped at 20 elements, got {instance.count}")
-    t0 = time.perf_counter()
-    rows, count = instance.rows, instance.count
-    is_clique = bytearray(1 << count)
-    is_clique[0] = 1
-    best_size = 0
-    best_mask = 0
-    for s in range(1, 1 << count):
-        low = s & -s
-        rest = s ^ low
-        if is_clique[rest] and rows[low.bit_length() - 1] & rest == rest:
-            is_clique[s] = 1
-            pc = s.bit_count()
-            if pc > best_size:
-                best_size = pc
-                best_mask = s
-    witness = [i for i in range(count) if best_mask >> i & 1]
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return ExtremalResult(best_size, witness, "enumeration", elapsed)
 
 
 def augment(start: int, neighbours: Callable[[int], Iterable[int]], mate: dict[int, int],
@@ -423,13 +380,12 @@ def _subset_family(g: Graph) -> ExtremalResult:
     t0 = time.perf_counter()
     size, witness = _family(*_unrelated_graph(g))
     elapsed = (time.perf_counter() - t0) * 1000.0
-    return ExtremalResult(size, witness, "branch-and-bound", elapsed)
+    return ExtremalResult(size, witness, elapsed)
 
 
 def _relabel(result: ExtremalResult, label: Callable[[int], object]) -> ExtremalResult:
     """The same result with each witness element replaced by its label."""
-    return ExtremalResult(result.size, list(map(label, result.witness)), result.method,
-                          result.elapsed_ms)
+    return ExtremalResult(result.size, list(map(label, result.witness)), result.elapsed_ms)
 
 
 def max_clique(instance: CliqueInstance) -> ExtremalResult:
@@ -454,7 +410,7 @@ def max_clique(instance: CliqueInstance) -> ExtremalResult:
         adj.append(list(map(pos.__getitem__, unrelated)))
     size, witness = _family(pos, adj, [True] * count)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    return ExtremalResult(size, witness, "branch-and-bound", elapsed)
+    return ExtremalResult(size, witness, elapsed)
 
 
 def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
@@ -543,7 +499,7 @@ def result_to_json(result: ExtremalResult, include_elapsed: bool = True) -> str:
     payload: dict[str, object] = {
         "size": result.size,
         "witness": [witness_descriptor(w) for w in result.witness],
-        "method": result.method,
+        "method": "branch-and-bound",
     }
     if include_elapsed:
         payload["elapsed_ms"] = result.elapsed_ms

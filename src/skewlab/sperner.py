@@ -19,9 +19,7 @@ Only a pair of levels whose inherited links fall short of its smaller level
 is extended, by augmenting paths from its free strings; the cover
 neighbours are read off the masks. The paths come from
 ``solver.max_matching``, the one matcher the clique engine shares, whose
-last round gives it the Koenig cover of the unrelated graph. An
-independent oracle solves the same question as a maximum clique of the
-incomparability relation.
+last round gives it the Koenig cover of the unrelated graph.
 
 Strings stay the integer masks of ``fibonacci_masks`` throughout; only the
 returned witnesses and chains become ``BitString``s.
@@ -34,13 +32,11 @@ from collections.abc import Iterator
 from itertools import zip_longest
 
 from .bitstring import BitString
-from .constructions import fibonacci_masks
 from .counting import fibonacci_count
 from .record import Record
-from .solver import CliqueInstance, max_clique, max_matching
+from .solver import max_matching
 
 MAX_POSET_LENGTH = 20
-ORACLE_MAX_LENGTH = 10
 
 
 def _check_length(n: int, cap: int) -> None:
@@ -163,36 +159,6 @@ def max_antichain(n: int) -> AntichainResult:
     _, level, _ = deque(antichain_sweep(n), maxlen=1).pop()
     _verify_antichain(level)
     return AntichainResult(n, len(level), tuple(BitString(n, b) for b in level))
-
-
-def minimum_chain_cover(n: int) -> list[list[BitString]]:
-    """Partition of the length-n poset into the fewest chains, each listed in
-    ascending dominance order: the certified level matchings glued into one
-    chain through each string of the largest level, so their number equals
-    the maximum antichain."""
-    _, _, up = deque(antichain_sweep(n), maxlen=1).pop()
-    reached = set(up.values())
-    chains = []
-    for b in fibonacci_masks(n):
-        if b in reached:
-            continue  # not a chain bottom: its chain reaches it from below
-        chain = [b]
-        while chain[-1] in up:
-            chain.append(up[chain[-1]])
-        chains.append([BitString(n, x) for x in chain])
-    return chains
-
-
-def max_antichain_oracle(n: int) -> int:
-    """Independent route: maximum clique of the incomparability relation."""
-    _check_length(n, ORACLE_MAX_LENGTH)
-    bits = fibonacci_masks(n)
-
-    def incomparable(i: int, j: int) -> bool:
-        a, b = bits[i], bits[j]
-        return a & ~b != 0 and b & ~a != 0
-
-    return max_clique(CliqueInstance.from_relation(len(bits), incomparable)).size
 
 
 class ProjectionReport(Record):

@@ -1,0 +1,179 @@
+"""Second routes and certificates that the tests hold the package against.
+
+Each answers, by a simpler method, a question that a ``skewlab`` engine
+answers: a subset scan for the clique engine, a clique of the
+incomparability relation for the antichain maximum, the chain partition
+behind the Sperner certificate, a greedy maximal extension of a pairwise
+skewincident family, the disjointness argument one pair at a time, and the
+SplitMix64 stream one draw at a time.
+"""
+
+from __future__ import annotations
+
+import time
+from collections import deque
+from collections.abc import Callable
+
+from skewlab.bitstring import (
+    BitString,
+    Family,
+    LengthMismatchError,
+    gamma,
+    influence_bits,
+    skewincident_bits,
+)
+from skewlab.constructions import (
+    _check_enumeration_length,
+    fibonacci_masks,
+    verify_pairwise_skewincident,
+)
+from skewlab.solver import MAX_ELEMENTS, CliqueInstance, ExtremalResult, max_clique
+from skewlab.sperner import _check_length, antichain_sweep
+
+ORACLE_MAX_LENGTH = 10
+
+_MASK64 = (1 << 64) - 1
+
+
+def instance_from_relation(count: int, relation: Callable[[int, int], bool]) -> CliqueInstance:
+    """Build from a symmetric predicate; relation(i, i) is never consulted."""
+    if not 1 <= count <= MAX_ELEMENTS:
+        raise ValueError(f"element count must be in [1, {MAX_ELEMENTS}], got {count}")
+    rows = [0] * count
+    for i in range(count):
+        for j in range(i + 1, count):
+            if relation(i, j):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return CliqueInstance(count, tuple(rows))
+
+
+def enumerate_max_clique(instance: CliqueInstance) -> ExtremalResult:
+    """Scan all 2^count subsets with an incremental is-clique table. Usable
+    up to 20 elements; witness is the optimum with the smallest subset
+    bitmask."""
+    if instance.count > 20:
+        raise ValueError(f"enumeration is capped at 20 elements, got {instance.count}")
+    t0 = time.perf_counter()
+    rows, count = instance.rows, instance.count
+    is_clique = bytearray(1 << count)
+    is_clique[0] = 1
+    best_size = 0
+    best_mask = 0
+    for s in range(1, 1 << count):
+        low = s & -s
+        rest = s ^ low
+        if is_clique[rest] and rows[low.bit_length() - 1] & rest == rest:
+            is_clique[s] = 1
+            pc = s.bit_count()
+            if pc > best_size:
+                best_size = pc
+                best_mask = s
+    witness = [i for i in range(count) if best_mask >> i & 1]
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    return ExtremalResult(best_size, witness, elapsed)
+
+
+def max_antichain_oracle(n: int) -> int:
+    """Maximum clique of the incomparability relation on the length-n
+    no-adjacent-ones strings."""
+    _check_length(n, ORACLE_MAX_LENGTH)
+    bits = fibonacci_masks(n)
+
+    def incomparable(i: int, j: int) -> bool:
+        a, b = bits[i], bits[j]
+        return a & ~b != 0 and b & ~a != 0
+
+    return max_clique(instance_from_relation(len(bits), incomparable)).size
+
+
+def minimum_chain_cover(n: int) -> list[list[BitString]]:
+    """Partition of the length-n poset into the fewest chains, each listed in
+    ascending dominance order: the certified level matchings glued into one
+    chain through each string of the largest level, so their number equals
+    the maximum antichain."""
+    _, _, up = deque(antichain_sweep(n), maxlen=1).pop()
+    reached = set(up.values())
+    chains = []
+    for b in fibonacci_masks(n):
+        if b in reached:
+            continue  # not a chain bottom: its chain reaches it from below
+        chain = [b]
+        while chain[-1] in up:
+            chain.append(up[chain[-1]])
+        chains.append([BitString(n, x) for x in chain])
+    return chains
+
+
+class NotPairwiseSkewincidentError(ValueError):
+    """Input family violates pairwise skewincidence; carries the first bad pair."""
+
+    def __init__(self, pair: tuple[BitString, BitString]):
+        self.pair = pair
+        super().__init__(f"family is not pairwise skewincident: ({pair[0]}, {pair[1]})")
+
+
+def greedy_maximal_extension(family: Family) -> Family:
+    """Grow a pairwise-skewincident family to a maximal one.
+
+    Repeatedly adds the lexicographically smallest missing string that is
+    skewincident with every current member; one ascending pass suffices
+    because adding members never makes a previously rejected string viable.
+    """
+    violation = verify_pairwise_skewincident(family)
+    if violation is not None:
+        raise NotPairwiseSkewincidentError(violation)
+    n = family.length
+    _check_enumeration_length(n)
+    members = set(family.masks)
+    infl = [influence_bits(b, n) for b in family.masks]
+    for cand in range(1 << n):
+        if cand in members:
+            continue
+        if all(cand & f for f in infl):
+            members.add(cand)
+            infl.append(influence_bits(cand, n))
+    return Family(n, tuple(sorted(members)))
+
+
+def verify_disjointness_argument(x: BitString, y: BitString) -> bool:
+    """Check on one pair: if gamma(x) + gamma(y) > 2n then x, y are skewincident.
+
+    Vacuously true when the gamma sum does not exceed 2n.
+    """
+    if x.length != y.length:
+        raise LengthMismatchError(
+            f"incompatible operands: lengths {x.length} and {y.length}"
+        )
+    return gamma(x) + gamma(y) <= 2 * x.length or skewincident_bits(x.bits, y.bits)
+
+
+class SplitMix64:
+    """SplitMix64 generator: 64-bit state, fixed odd increment, avalanche mix.
+
+    Deterministic for a given seed in [0, 2^64), the same seeds that
+    ``monte_carlo_tail`` accepts. The step is
+
+        state += 0x9E3779B97F4A7C15
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+        return z ^ (z >> 31)
+
+    with all arithmetic modulo 2^64.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int):
+        # a seed is the 64-bit state; reducing it would give two seeds one stream
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+        self._state = seed
+
+    def next_uint64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)

@@ -12,24 +12,21 @@ import time
 from fractions import Fraction
 
 from skewlab.bitstring import BitString, gamma_bits, influence_bits, skewincident_bits
-from skewlab.constructions import (
-    enumerate_C,
-    greedy_maximal_extension,
-    verify_pairwise_skewincident,
-)
+from skewlab.constructions import enumerate_C, verify_pairwise_skewincident
 from skewlab.counting import (
     count_C,
     crossover_scan,
     fibonacci_count,
     floor_pow2,
-    gamma_distributions_upto,
+    gamma_distribution_sweep,
     monte_carlo_tail,
     tail_probability,
 )
 from skewlab.graphs import all_loops, complete_multipartite, path, skew_alphabet
 from skewlab.report import sandwich_check
 from skewlab.solver import exact_M, exact_MG, multipartite_M
-from skewlab.sperner import max_antichain, max_antichain_oracle
+from skewlab.sperner import max_antichain
+from oracles import greedy_maximal_extension, max_antichain_oracle
 
 
 class Budget:
@@ -63,16 +60,16 @@ def test_criterion_01_construction_validity():
 
 def test_criterion_02_expectation_identity():
     with Budget("02 expectation-identity", 10):
-        for dist in gamma_distributions_upto(200):
+        for dist in gamma_distribution_sweep(200):
             if dist.n >= 2:
-                lhs = 4 * dist.weighted_sum()
+                lhs = 4 * sum(v * c for v, c in dist.counts.items())
                 rhs = (5 * dist.n - 2) * (1 << dist.n)
                 assert lhs == rhs, dist.n
 
 
 def test_criterion_03_dp_correctness():
     with Budget("03 dp-correctness", 60):
-        dists = {d.n: d for d in gamma_distributions_upto(16)}
+        dists = {d.n: d for d in gamma_distribution_sweep(16)}
         for n in range(1, 17):
             hist: dict[int, int] = {}
             for x in range(1 << n):
@@ -85,9 +82,9 @@ def test_criterion_04_crossover_evidence():
     with Budget("04 crossover-evidence", 30):
         n_star = crossover_scan(200)
         assert n_star <= 10
-        dists = {d.n: d for d in gamma_distributions_upto(200)}
+        dists = {d.n: d for d in gamma_distribution_sweep(200)}
         for n in range(n_star, 201):
-            lhs = (1 << n) - dists[n].count_above(n)
+            lhs = (1 << n) - sum(c for v, c in dists[n].counts.items() if v > n)
             assert lhs <= floor_pow2(24 * n, 25), n
 
 

@@ -8,14 +8,10 @@ from skewlab.bitstring import (
     BitString,
     Family,
     LengthMismatchError,
-    all_strings,
-    comparable,
     gamma,
     gamma_bits,
     influence,
     influence_bits,
-    is_fibonacci,
-    leq,
     skewincident,
     skewincident_bits,
     submasks,
@@ -53,6 +49,9 @@ def test_literal_round_trip():
 def test_literal_positions():
     x = B("110")
     assert (x.get(1), x.get(2), x.get(3)) == (1, 1, 0)
+    for position in (0, 4):
+        with pytest.raises(ValueError, match=rf"position {position} out of \[1, 3\]"):
+            x.get(position)
 
 
 def test_bad_literals():
@@ -70,24 +69,6 @@ def test_length_and_bits_validation():
         BitString(3, 8)
     with pytest.raises(ValueError):
         BitString(3, -1)
-
-
-def test_flip_and_get():
-    x = B("000")
-    assert str(x.flip(2)) == "010"
-    assert str(x.flip(2).flip(2)) == "000"
-    with pytest.raises(ValueError):
-        x.flip(0)
-    with pytest.raises(ValueError):
-        x.get(4)
-
-
-def test_reverse():
-    assert str(B("110").reverse()) == "011"
-    assert str(B("0101").reverse()) == "1010"
-    for bits in range(16):
-        x = BitString(4, bits)
-        assert x.reverse().reverse() == x
 
 
 def test_weight_examples():
@@ -122,8 +103,8 @@ def test_gamma_examples():
 
 
 def test_gamma_range():
-    for x in all_strings(6):
-        assert 0 <= gamma(x) <= 12
+    for bits in range(1 << 6):
+        assert 0 <= gamma(BitString(6, bits)) <= 12
 
 
 def test_skewincident_examples():
@@ -142,27 +123,8 @@ def test_skewincident_matches_scan_oracle():
 
 
 def test_length_mismatch_errors():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(LengthMismatchError, match="incompatible operands: lengths 2 and 3"):
         skewincident(B("10"), B("100"))
-    with pytest.raises(LengthMismatchError):
-        comparable(B("10"), B("100"))
-    with pytest.raises(LengthMismatchError):
-        leq(B("10"), B("100"))
-
-
-def test_comparable_examples():
-    assert comparable(B("010"), B("110")) is True
-    assert comparable(B("010"), B("100")) is False
-    x = B("0110")
-    assert comparable(x, x) is True
-    assert leq(B("010"), B("110")) is True
-    assert leq(B("110"), B("010")) is False
-
-
-def test_is_fibonacci_examples():
-    assert is_fibonacci(B("0101")) is True
-    assert is_fibonacci(B("0110")) is False
-    assert is_fibonacci(B("0000")) is True
 
 
 def test_characterization_and_symmetry_exhaustive():
@@ -196,17 +158,22 @@ def test_characterization_random_full_width():
         assert s == skewincident_bits(y, x)
 
 
+def reverse(x: BitString) -> BitString:
+    """The string with its positions read right to left."""
+    return B(str(x)[::-1])
+
+
 def test_reversal_invariance():
     for n in range(1, 9):
         for xb in range(1 << n):
             x = BitString(n, xb)
-            assert gamma(x.reverse()) == gamma(x)
+            assert gamma(reverse(x)) == gamma(x)
     rng = random.Random(7)
     for _ in range(2000):
         x = BitString(64, rng.getrandbits(64))
         y = BitString(64, rng.getrandbits(64))
-        assert gamma(x.reverse()) == gamma(x)
-        assert skewincident(x.reverse(), y.reverse()) == skewincident(x, y)
+        assert gamma(reverse(x)) == gamma(x)
+        assert skewincident(reverse(x), reverse(y)) == skewincident(x, y)
 
 
 def test_one_bit_flip_sensitivity():
@@ -256,14 +223,6 @@ def test_family_from_literals():
         Family.from_literals(["10", "011"])
     with pytest.raises(ValueError, match="member 10 has length 2, family has 3"):
         Family.from_literals(["10"], length=3)
-
-
-def test_all_strings_order_and_count():
-    xs = list(all_strings(3))
-    assert len(xs) == 8
-    assert [str(x) for x in xs[:3]] == ["000", "001", "010"]
-    with pytest.raises(ValueError):
-        list(all_strings(0))
 
 
 def test_submasks_ascend_from_low():

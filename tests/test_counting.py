@@ -10,19 +10,15 @@ import pytest
 from skewlab.bitstring import gamma_bits
 from skewlab.counting import (
     CrossoverNotFoundError,
-    SplitMix64,
-    ceil_pow2,
     ceil_pow2_upto,
     count_C,
     crossover_scan,
-    expected_gamma,
     fibonacci_count,
     floor_kth_root,
     floor_pow2,
     floor_pow2_upto,
     gamma_distribution,
     gamma_distribution_sweep,
-    gamma_distributions_upto,
     monte_carlo_tail,
     tail_counts_upto,
     tail_probability,
@@ -38,6 +34,7 @@ from skewlab.counting import (
     _lanes_above,
     _slot_sum,
 )
+from oracles import SplitMix64
 from tables import (
     COUNT_C,
     CROSSOVER_N,
@@ -64,26 +61,19 @@ def test_distribution_frozen_examples():
 
 
 def test_distribution_matches_enumeration():
-    for dist in gamma_distributions_upto(12):
+    for dist in gamma_distribution_sweep(12):
         assert dist.counts == gamma_histogram_brute(dist.n), dist.n
-
-
-def test_count_above_matches_enumeration():
-    for dist in gamma_distributions_upto(12):
-        n, hist = dist.n, gamma_histogram_brute(dist.n)
-        for t in range(-2, 2 * n + 2):
-            assert dist.count_above(t) == sum(c for v, c in hist.items() if v > t), (n, t)
 
 
 def test_packed_sums_exact_at_the_cap():
     # n = 512 fills a slot to 2^512, the most the residue can add exactly
     dist = gamma_distribution(512)
-    assert dist.total() == dist.count_above(-1) == 2 ** 512
-    assert dist.count_above(2 * 512) == 0
+    assert _slot_sum(dist.packed, _SLOT_BITS) == sum(dist.counts.values()) == 2 ** 512
+    assert _slot_sum(dist.packed >> _SLOT_BITS * (2 * 512 + 1), _SLOT_BITS) == 0
 
 
 def test_slot_fold_equals_residue():
-    for dist in gamma_distributions_upto(512):
+    for dist in gamma_distribution_sweep(512):
         for x in (dist.packed, dist.packed >> _SLOT_BITS * (dist.n + 1)):
             assert _slot_sum(x, _SLOT_BITS) == x % _SLOT_SUM, dist.n
     w = _SLOT_BITS
@@ -120,28 +110,36 @@ def test_sweep_to_the_cap_is_pinned():
 
 
 def test_single_distribution_equals_sweep_entry():
-    assert gamma_distribution(7) == gamma_distributions_upto(20)[6]
-    assert gamma_distribution(300) == gamma_distributions_upto(301)[299]
+    assert gamma_distribution(7) == list(gamma_distribution_sweep(20))[6]
+    assert gamma_distribution(300) == list(gamma_distribution_sweep(301))[299]
     assert gamma_distribution(7) != gamma_distribution(8)
 
 
 def test_distribution_bounds_and_mass():
-    for dist in gamma_distributions_upto(512):
+    for dist in gamma_distribution_sweep(512):
         n = dist.n
-        assert dist.total() == 1 << n
+        assert sum(dist.counts.values()) == 1 << n
         assert all(0 <= v <= 2 * n for v in dist.counts)
         if n >= 2:
             assert dist.counts.get(2 * n, 0) >= 1  # the all-ones string
 
 
+def gamma_sum(counts: dict[int, int]) -> int:
+    """Sum of gamma over all strings, from their counts by gamma value."""
+    return sum(v * c for v, c in counts.items())
+
+
 def test_expectation_identity_exact_integers():
     # 4 * sum(v * count) == (5n - 2) * 2^n for every n >= 2, up to the cap
-    for dist in gamma_distributions_upto(512):
+    for dist in gamma_distribution_sweep(512):
         if dist.n >= 2:
-            assert 4 * dist.weighted_sum() == (5 * dist.n - 2) * (1 << dist.n), dist.n
+            assert 4 * gamma_sum(dist.counts) == (5 * dist.n - 2) * (1 << dist.n), dist.n
 
 
 def test_expected_gamma_examples():
+    def expected_gamma(n: int) -> Fraction:
+        return Fraction(gamma_sum(gamma_distribution(n).counts), 1 << n)
+
     for n, value in EXPECTED_GAMMA.items():
         assert expected_gamma(n) == value
     # the closed form starts at n = 2; n = 1 is genuinely different
@@ -159,7 +157,8 @@ TAIL_KERNEL_MAX_N = (*range(1, 41), 63, 64, 65, 127, 128, 129, 255, 256, 257, 25
 
 
 def test_tail_kernel_matches_the_sweep():
-    sweep = [dist.count_above(dist.n) for dist in gamma_distribution_sweep(512)]
+    sweep = [sum(c for v, c in dist.counts.items() if v > dist.n)
+             for dist in gamma_distribution_sweep(512)]
     for max_n in TAIL_KERNEL_MAX_N:
         assert tail_counts_upto(max_n) == sweep[:max_n], max_n
 
@@ -227,13 +226,14 @@ def test_fibonacci_ratio_converges_monotonically():
 
 def test_fibonacci_growth_bound():
     # scan for the first n from which f(n) >= 2^(0.694 n) holds through 200
+    bounds = ceil_pow2_upto(694, 1000, 200)
     violations = [
-        n for n in range(1, 201) if fibonacci_count(n) < ceil_pow2(694 * n, 1000)
+        n for n in range(1, 201) if fibonacci_count(n) < bounds[n - 1]
     ]
     first_good = max(violations) + 1 if violations else 1
     assert first_good == 1  # holds from the very start at this scale
     for n in range(first_good, 201):
-        assert fibonacci_count(n) >= ceil_pow2(694 * n, 1000), n
+        assert fibonacci_count(n) >= bounds[n - 1], n
 
 
 def test_floor_kth_root():
@@ -283,13 +283,13 @@ def test_floor_kth_root_matches_bisection(k):
 
 def test_floor_and_ceil_pow2():
     assert floor_pow2(10, 1) == 1024
-    assert ceil_pow2(10, 1) == 1024
+    assert ceil_pow2_upto(10, 1, 1) == [1024]
     assert floor_pow2(1, 2) == 1  # floor(sqrt 2)
-    assert ceil_pow2(1, 2) == 2
+    assert ceil_pow2_upto(1, 2, 1) == [2]
     assert floor_pow2(96, 100) == 1  # floor(2^0.96) = 1
     assert floor_pow2(24 * 3, 25) == 7  # floor(2^2.88)
     for num, den in ((5, 3), (123, 47), (694, 1000), (69, 100)):
-        f, c = floor_pow2(num, den), ceil_pow2(num, den)
+        f, c = floor_pow2(num, den), ceil_pow2_upto(num, den, 1)[0]
         assert f <= 2 ** (num / den) <= c
         assert c - f in (0, 1)
 
@@ -301,6 +301,12 @@ def test_floor_pow2_on_reducible_fractions():
         for num, den in ((24 * n, 25), (69 * n, 100), (694 * n, 1000)):
             r = floor_pow2(num, den)
             assert r ** den <= 2 ** num < (r + 1) ** den, (num, den)
+
+
+def ceil_pow2(numerator: int, denominator: int) -> int:
+    """ceil(2**(numerator/denominator)): the floor, plus one unless the
+    exponent is a whole number."""
+    return floor_pow2(numerator, denominator) + (numerator % denominator != 0)
 
 
 BOUND_FRACTIONS = ((24, 25), (69, 100), (694, 1000), (1, 2), (3, 1), (0, 7))
@@ -380,7 +386,7 @@ def test_splitmix_reference_vector():
 def test_splitmix_determinism_and_seed_range():
     a, b = SplitMix64(99), SplitMix64(99)
     assert [a.next_uint64() for _ in range(10)] == [b.next_uint64() for _ in range(10)]
-    # the class and the sampler accept the same seeds, through one check
+    # the reference class and the sampler accept the same seeds
     for bad in (-1, 2 ** 64, 2 ** 64 + 5):
         with pytest.raises(ValueError, match="seed must be in"):
             SplitMix64(bad)

@@ -1,7 +1,8 @@
 """Structural properties of the ``skewlab`` sources, read from their syntax
 trees: stdlib-only imports without ``dataclasses``, an acyclic import graph
-between the package's modules, no function that calls itself, and no
-definition that nothing reads."""
+between the package's modules, no function that calls itself, no
+definition that nothing reads, and no definition that only tests read,
+beyond a short list of public names."""
 
 import ast
 import subprocess
@@ -180,3 +181,38 @@ def test_every_private_definition_is_read_by_the_package():
         "    def _helper(self):\n        return _used()\n"
         "x = _K()\n")}) == ["m:3 _self_only", "m:8 _helper"]
     assert unreferenced_private_definitions(parsed_modules()) == []
+
+
+# Public definitions that nothing in the package reads, kept on purpose.
+READ_ONLY_OUTSIDE_THE_PACKAGE = {
+    # the paper's definitions, which the README lists as the string primitives
+    "weight", "support", "influence", "gamma", "skewincident",
+    # bench/checks.py parses the ``exact-m`` witness with it
+    "from_literals",
+}
+
+
+def unread_public_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Public definitions of ``trees`` that no tree mentions outside the
+    definition itself, where ``__init__`` does not count: a re-export is not
+    a read."""
+    readers = {name: tree for name, tree in trees.items() if name != "__init__"}
+    total = Counter(name for tree in readers.values() for name in mentions(tree))
+    return [f"{module}:{node.lineno} {node.name}"
+            for module, tree in readers.items() for node in definitions(tree)
+            if not node.name.startswith("_")
+            and Counter(mentions(node))[node.name] == total[node.name]]
+
+
+def test_every_public_definition_is_read_by_the_package():
+    """A public name that only tests, the bench or a re-export read is either
+    a second route, which belongs in ``tests/oracles.py``, or dead code."""
+    assert unread_public_definitions({
+        "__init__": ast.parse("from .m import dead, used\n"),
+        "m": ast.parse("def used():\n    return 1\n"
+                       "def dead():\n    return dead\n"
+                       "class K:\n    def __len__(self):\n        return used()\n"
+                       "k = K()\n"),
+    }) == ["m:3 dead"]
+    unread = unread_public_definitions(parsed_modules())
+    assert {entry.rpartition(" ")[2] for entry in unread} == READ_ONLY_OUTSIDE_THE_PACKAGE, unread

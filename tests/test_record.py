@@ -13,7 +13,7 @@ from skewlab.counting import gamma_distribution, monte_carlo_tail
 from skewlab.graphs import Partition, as_partition
 from skewlab.record import Record
 from skewlab.report import Table, sandwich_check
-from skewlab.solver import CliqueInstance, ExtremalResult, enumerate_max_clique, exact_M
+from skewlab.solver import CliqueInstance, ExtremalResult, exact_M
 from skewlab.sperner import max_antichain, projection_bound_check
 
 INSTANCES = [
@@ -24,7 +24,7 @@ INSTANCES = [
     as_partition([2, 3]),
     Table(("n", "size"), ((3, 5),)),
     sandwich_check(3),
-    CliqueInstance.from_relation(3, lambda i, j: i + j == 1),
+    CliqueInstance(3, (0b010, 0b001, 0)),
     exact_M(3),
     max_antichain(4),
     projection_bound_check(5),
@@ -78,9 +78,9 @@ def test_record_contract(record):
 
 def test_records_with_one_field_changed_differ():
     assert BitString(3, 5) != BitString(3, 4) and BitString(3, 5) != BitString(4, 5)
-    result = enumerate_max_clique(CliqueInstance(2, (2, 1)))
-    assert result != ExtremalResult(result.size, [1, 0], result.method, result.elapsed_ms)
-    assert ExtremalResult(1, [0], "enumeration") == ExtremalResult(1, [0], "enumeration", 0.0)
+    result = exact_M(2)
+    assert result != ExtremalResult(result.size, result.witness[::-1], result.elapsed_ms)
+    assert ExtremalResult(1, [0]) == ExtremalResult(1, [0], 0.0)
 
 
 @pytest.mark.parametrize("build, message", [

@@ -33,12 +33,10 @@ from .counting import (
 )
 from .graphs import Graph, Partition, all_loops, complete_multipartite, path, skew_alphabet
 from .solver import (
-    CliqueInstance,
     ExtremalResult,
     exact_M,
     exact_MG,
     exact_attractive,
-    max_clique,
     multipartite_M,
 )
 from .report import SandwichReport, sandwich_check

@@ -11,18 +11,19 @@ are constrained on distinct pairs.
 
 There is one engine, ``_family``, and it works in the relation's
 complement, the unrelated graph H, which is sparse for the families here.
-Two builders feed it: subset families read H off the submasks of each
-subset's non-neighbourhood and leave the subsets a shifting lemma rules out
-to the witness pass; ``max_clique`` (mappings) complements dense bitset
-rows. The size comes from the vertex-cover LP of H (a maximum matching on
-H's bipartite double cover, whose last round gives the Koenig cover, then
-an exact search of the Nemhauser-Trotter kernel); greedy cliques of H
-cover every element and bound any family by their number; and the
-lexicographically first witness is decided step by step by counting live
-classes, repairing a carried optimum, or else an iterative
-branch-and-bound search. Every search reads H's own rows, and
-one greedy H-clique cover, ``_clique_cover``, gives both the root classes
-and the search's colour bound. One augmenting-path matcher,
+Two builders feed it, and both read H off the values an element's code
+leaves free: subset families take the submasks of each subset's
+non-neighbourhood and leave the subsets a shifting lemma rules out to the
+witness pass; mappings take the product, over positions, of the values that
+no value at a related position is adjacent to. The size comes from the
+vertex-cover LP of H (a maximum matching on H's bipartite double cover,
+whose last round gives the Koenig cover, then an exact search of the
+Nemhauser-Trotter kernel); greedy cliques of H cover every element and bound
+any family by their number; and the lexicographically first witness is
+decided step by step by counting live classes, repairing a carried optimum,
+or else an iterative branch-and-bound search. Every search reads H's own
+rows, and one greedy H-clique cover, ``_clique_cover``, gives both the root
+classes and the search's colour bound. One augmenting-path matcher,
 ``max_matching``, serves both this and the Sperner sweep's level matchings.
 """
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -55,46 +57,6 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _union(bitsets: Iterable[int]) -> int:
     return functools.reduce(operator.or_, bitsets, 0)
-
-
-class CliqueInstance(Record):
-    """A symmetric relation over element indices, as bitset adjacency rows.
-
-    Symmetry (bit j of rows[i] iff bit i of rows[j]) is a precondition that
-    is not checked here; ``max_clique`` checks it on every unrelated pair as
-    it builds the complement and raises ValueError when it fails.
-    """
-
-    __slots__ = ("count", "rows")
-
-    def __init__(self, count: int, rows: tuple[int, ...]) -> None:
-        if not 1 <= count <= MAX_ELEMENTS:
-            raise ValueError(f"element count must be in [1, {MAX_ELEMENTS}], got {count}")
-        if len(rows) != count:
-            raise ValueError("rows length must equal element count")
-        for i, row in enumerate(rows):
-            if row >> count or row >> i & 1:
-                raise ValueError(f"row {i} holds itself or an index outside [0, {count})")
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def from_neighborhoods(cls, nbrs: Sequence[int], codes: Sequence[int]) -> CliqueInstance:
-        """Relate distinct elements a and b iff codes[b] meets the union of
-        nbrs[v] over the vertices v of codes[a].
-
-        nbrs[v] is the neighborhood bitset of vertex v in an undirected
-        graph, which makes the relation symmetric. Rows are ORs of
-        per-vertex element sets: O(elements x vertices) big-int operations
-        instead of one predicate call per pair.
-        """
-        holders = [0] * len(nbrs)  # holders[w]: the elements whose code holds w
-        for e, code in enumerate(codes):
-            for w in _bits(code):
-                holders[w] |= 1 << e
-        reach = [_union(holders[w] for w in _bits(nb)) for nb in nbrs]
-        rows = [_union(reach[v] for v in _bits(code)) & ~(1 << e) for e, code in enumerate(codes)]
-        return cls(len(codes), tuple(rows))
 
 
 class ExtremalResult(Record):
@@ -208,8 +170,8 @@ def _unrelated_graph(g: Graph) -> tuple[list[int], list[list[int]], list[bool]]:
     """The unrelated graph H on the vertex subsets of g: x ~ y iff y misses
     N(x), so x's H-neighbours are the submasks of ``full & ~N(x)``.
 
-    Labels ascend by H-degree, ties by index, which is ``max_clique``'s
-    order of descending relation degree. Returns (pos, adj, kept): each
+    Labels ascend by H-degree, ties by index, which is the order of
+    descending relation degree. Returns (pos, adj, kept): each
     subset's label, and per label its H-neighbours other than itself and
     whether it survives shifting (see ``_cover_family``).
     """
@@ -228,6 +190,51 @@ def _unrelated_graph(g: Graph) -> tuple[list[int], list[list[int]], list[bool]]:
             adj[v].remove(v)
     kept = [x & reach[x] != 0 or x | reach[x] == full for x in order]
     return pos, adj, kept
+
+
+def _unrelated_mappings(f_graph: Graph, g_graph: Graph,
+                        n: int) -> tuple[list[int], list[list[int]], list[bool]]:
+    """The unrelated graph H on the mappings [n] -> V(g), indexed with
+    position 1 as the most significant digit: b ~ a iff each b_j lies in
+    A_j(a), the values adjacent to no a_i with i ~F j, so a's H-neighbours
+    are the product of the A_j(a).
+
+    Labels ascend by H-degree, ties by index, as in ``_unrelated_graph``.
+    Returns (pos, adj, kept) with every mapping kept. Each distinct product
+    is listed once; the mappings outside it share that list, and those
+    inside it each get a copy without themselves.
+    """
+    gv = g_graph.vertex_count
+    values = (1 << gv) - 1
+    # forbid[a]: bit j*gv + u when some a_i with i ~F j is adjacent to u
+    forbid, codes = [0], [0]
+    for i in range(n):
+        spread = [sum(g_graph.neighbors(u) << j * gv for j in range(n) if f_graph.adjacent(i, j))
+                  for u in range(gv)]
+        forbid = [f | s for f in forbid for s in spread]
+        codes = [c | 1 << i * gv + u for c in codes for u in range(gv)]
+    groups: dict[int, list[int]] = {}  # the mappings of each product
+    for a, f in enumerate(forbid):
+        groups.setdefault(f, []).append(a)
+    degree = {f: math.prod((~f >> j * gv & values).bit_count() for j in range(n)) for f in groups}
+    own = [not c & f for c, f in zip(codes, forbid)]  # a lies in its own product
+    order = sorted(range(len(forbid)), key=lambda a: (degree[forbid[a]] - own[a], a))
+    pos = sorted(range(len(forbid)), key=order.__getitem__)  # the inverse permutation
+    adj: list[list[int]] = [[]] * len(forbid)
+    for f, members in groups.items():
+        product = [0]
+        for j in range(n):
+            choices = list(_bits(~f >> j * gv & values))
+            product = [b * gv + u for b in product for u in choices]
+        product = list(map(pos.__getitem__, product))
+        for a in members:
+            v = pos[a]
+            if own[a]:
+                adj[v] = product.copy()
+                adj[v].remove(v)
+            else:
+                adj[v] = product
+    return pos, adj, [True] * len(forbid)
 
 
 def _clique_cover(rows: Sequence[int], rest: int) -> list[int]:
@@ -256,7 +263,7 @@ def _cover_family(adj: Sequence[Sequence[int]], rows: Sequence[int], kept: Seque
     subset families shifting members up to strict supersets ends in an
     up-set of the same size, whose members are related to all their strict
     supersets, so only subsets meeting N(x) or with x | N(x) everything are
-    kept; ``max_clique`` keeps every element. The last round of
+    kept; mapping families keep every element. The last round of
     ``max_matching`` on H's double cover, which adds nothing, reaches from
     the free left copies the right copies in a Koenig cover; a left copy is
     reached when it is free or its partner is, and is in the cover when it
@@ -373,12 +380,11 @@ def _family(pos: Sequence[int], adj: Sequence[Sequence[int]],
     return size, witness
 
 
-def _subset_family(g: Graph) -> ExtremalResult:
-    """Largest family of vertex subsets of g (elements are the bitmasks),
-    any two distinct ones containing a pair of adjacent vertices, found in
-    the unrelated graph H without building the relation itself."""
+def _timed_family(build: Callable[..., tuple], *args: object) -> ExtremalResult:
+    """``_family`` on the unrelated graph that ``build(*args)`` returns; the
+    elapsed time covers both the build and the search."""
     t0 = time.perf_counter()
-    size, witness = _family(*_unrelated_graph(g))
+    size, witness = _family(*build(*args))
     elapsed = (time.perf_counter() - t0) * 1000.0
     return ExtremalResult(size, witness, elapsed)
 
@@ -386,31 +392,6 @@ def _subset_family(g: Graph) -> ExtremalResult:
 def _relabel(result: ExtremalResult, label: Callable[[int], object]) -> ExtremalResult:
     """The same result with each witness element replaced by its label."""
     return ExtremalResult(result.size, list(map(label, result.witness)), result.elapsed_ms)
-
-
-def max_clique(instance: CliqueInstance) -> ExtremalResult:
-    """Exact maximum set of pairwise-related elements, the lexicographically
-    first one, found by ``_family`` in the complement of the rows.
-
-    Labels follow descending relation degree, ties by index, and every
-    element is kept. Each element's unrelated elements are read off its
-    complemented row; one of them relating back to it means the rows are
-    not symmetric, which raises ValueError.
-    """
-    t0 = time.perf_counter()
-    count, rows = instance.count, instance.rows
-    order = sorted(range(count), key=lambda v: (-rows[v].bit_count(), v))
-    pos = sorted(range(count), key=order.__getitem__)  # the inverse permutation
-    full = (1 << count) - 1
-    adj = []
-    for v in order:
-        unrelated = list(_bits(full & ~(rows[v] | 1 << v)))
-        if any(rows[w] >> v & 1 for w in unrelated):
-            raise ValueError(f"relation is not symmetric: row {v} misses an element relating to it")
-        adj.append(list(map(pos.__getitem__, unrelated)))
-    size, witness = _family(pos, adj, [True] * count)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return ExtremalResult(size, witness, elapsed)
 
 
 def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
@@ -426,7 +407,7 @@ def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
             f" (pass override_cap=True or --override-cap for n up to {MAX_SUBSET_VERTICES})"
         )
         raise ValueError(f"n must be in [1, {cap}], got {n}{hint}")
-    return _relabel(_subset_family(path(n)), functools.partial(BitString, n))
+    return _relabel(_timed_family(_unrelated_graph, path(n)), functools.partial(BitString, n))
 
 
 def check_subset_vertices(count: int) -> None:
@@ -444,7 +425,7 @@ def exact_MG(g: Graph) -> ExtremalResult:
     significant; the witness lists subsets as sorted vertex tuples.
     """
     check_subset_vertices(g.vertex_count)
-    return _relabel(_subset_family(g), lambda mask: tuple(_bits(mask)))
+    return _relabel(_timed_family(_unrelated_graph, g), lambda mask: tuple(_bits(mask)))
 
 
 def multipartite_M(p: Partition | Sequence[int]) -> int:
@@ -461,7 +442,9 @@ def exact_attractive(f_graph: Graph, g_graph: Graph, n: int) -> ExtremalResult:
 
     Positions 1..n use the first n vertices of f_graph. Elements are all
     |V(g)|^n mappings, ordered with position 1 as the most significant digit;
-    the witness lists mappings as value tuples.
+    the witness lists mappings as value tuples. ``_unrelated_mappings``
+    reads the unrelated graph H off per-position products of free values,
+    and the elapsed time covers that build.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -469,19 +452,11 @@ def exact_attractive(f_graph: Graph, g_graph: Graph, n: int) -> ExtremalResult:
         raise ValueError(
             f"position graph has {f_graph.vertex_count} vertices, need at least {n}"
         )
-    gv = g_graph.vertex_count
-    count = gv ** n
+    count = g_graph.vertex_count ** n
     if count > MAX_ELEMENTS:
         raise ValueError(f"|V(g)|^n = {count} exceeds the cap of {MAX_ELEMENTS}")
-    # Product graph: vertex i*gv + u means "position i takes value u".
-    nbrs = [
-        sum(g_graph.neighbors(u) << j * gv for j in range(n) if f_graph.adjacent(i, j))
-        for i in range(n)
-        for u in range(gv)
-    ]
-    maps = list(itertools.product(range(gv), repeat=n))
-    codes = [sum(1 << i * gv + u for i, u in enumerate(m)) for m in maps]
-    return _relabel(max_clique(CliqueInstance.from_neighborhoods(nbrs, codes)), maps.__getitem__)
+    maps = list(itertools.product(range(g_graph.vertex_count), repeat=n))
+    return _relabel(_timed_family(_unrelated_mappings, f_graph, g_graph, n), maps.__getitem__)
 
 
 def witness_descriptor(item: object) -> object:

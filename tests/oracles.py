@@ -1,7 +1,8 @@
 """Second routes and certificates that the tests hold the package against.
 
 Each answers, by a simpler method, a question that a ``skewlab`` engine
-answers: a subset scan for the clique engine, a clique of the
+answers: dense relation rows complemented into the unrelated graph, and a
+subset scan, for the clique engine, a clique of the
 incomparability relation for the antichain maximum, the chain partition
 behind the Sperner certificate, a greedy maximal extension of a pairwise
 skewincident family, the disjointness argument one pair at a time, and the
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from skewlab.bitstring import (
     BitString,
@@ -27,12 +28,80 @@ from skewlab.constructions import (
     fibonacci_masks,
     verify_pairwise_skewincident,
 )
-from skewlab.solver import MAX_ELEMENTS, CliqueInstance, ExtremalResult, max_clique
+from skewlab.record import Record
+from skewlab.solver import MAX_ELEMENTS, ExtremalResult, _bits, _timed_family, _union
 from skewlab.sperner import _check_length, antichain_sweep
 
 ORACLE_MAX_LENGTH = 10
 
 _MASK64 = (1 << 64) - 1
+
+
+class CliqueInstance(Record):
+    """A symmetric relation over element indices, as bitset adjacency rows.
+
+    Symmetry (bit j of rows[i] iff bit i of rows[j]) is a precondition that
+    is not checked here; ``max_clique`` checks it on every unrelated pair as
+    it builds the complement and raises ValueError when it fails.
+    """
+
+    __slots__ = ("count", "rows")
+
+    def __init__(self, count: int, rows: tuple[int, ...]) -> None:
+        if not 1 <= count <= MAX_ELEMENTS:
+            raise ValueError(f"element count must be in [1, {MAX_ELEMENTS}], got {count}")
+        if len(rows) != count:
+            raise ValueError("rows length must equal element count")
+        for i, row in enumerate(rows):
+            if row >> count or row >> i & 1:
+                raise ValueError(f"row {i} holds itself or an index outside [0, {count})")
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_neighborhoods(cls, nbrs: Sequence[int], codes: Sequence[int]) -> CliqueInstance:
+        """Relate distinct elements a and b iff codes[b] meets the union of
+        nbrs[v] over the vertices v of codes[a].
+
+        nbrs[v] is the neighborhood bitset of vertex v in an undirected
+        graph, which makes the relation symmetric. Rows are ORs of
+        per-vertex element sets: O(elements x vertices) big-int operations
+        instead of one predicate call per pair.
+        """
+        holders = [0] * len(nbrs)  # holders[w]: the elements whose code holds w
+        for e, code in enumerate(codes):
+            for w in _bits(code):
+                holders[w] |= 1 << e
+        reach = [_union(holders[w] for w in _bits(nb)) for nb in nbrs]
+        rows = [_union(reach[v] for v in _bits(code)) & ~(1 << e) for e, code in enumerate(codes)]
+        return cls(len(codes), tuple(rows))
+
+
+def complement_graph(instance: CliqueInstance) -> tuple[list[int], list[list[int]], list[bool]]:
+    """The unrelated graph H of the rows, in the engine's labels: descending
+    relation degree, ties by index, every element kept. Each element's
+    unrelated elements are read off its complemented row; one of them
+    relating back to it means the rows are not symmetric, which raises
+    ValueError."""
+    count, rows = instance.count, instance.rows
+    order = sorted(range(count), key=lambda v: (-rows[v].bit_count(), v))
+    pos = sorted(range(count), key=order.__getitem__)  # the inverse permutation
+    full = (1 << count) - 1
+    adj = []
+    for v in order:
+        unrelated = list(_bits(full & ~(rows[v] | 1 << v)))
+        if any(rows[w] >> v & 1 for w in unrelated):
+            raise ValueError(f"relation is not symmetric: row {v} misses an element relating to it")
+        adj.append(list(map(pos.__getitem__, unrelated)))
+    return pos, adj, [True] * count
+
+
+def max_clique(instance: CliqueInstance) -> ExtremalResult:
+    """Exact maximum set of pairwise-related elements, the lexicographically
+    first one, found by the package's engine in the complement of the rows:
+    the second route for the mapping families, whose H the package reads
+    off per-position products instead."""
+    return _timed_family(complement_graph, instance)
 
 
 def instance_from_relation(count: int, relation: Callable[[int, int], bool]) -> CliqueInstance:

@@ -13,17 +13,9 @@ from skewlab.bitstring import Family, influence_bits, skewincident, skewincident
 from skewlab.constructions import verify_pairwise_skewincident
 from skewlab.counting import fibonacci_count
 from skewlab.graphs import Graph, all_loops, complete_multipartite, path, skew_alphabet
-from skewlab.solver import (
-    CliqueInstance,
-    exact_M,
-    exact_MG,
-    exact_attractive,
-    max_clique,
-    multipartite_M,
-    result_to_json,
-)
+from skewlab.solver import exact_M, exact_MG, exact_attractive, multipartite_M, result_to_json
 from skewlab.report import sandwich_check
-from oracles import enumerate_max_clique, instance_from_relation
+from oracles import CliqueInstance, enumerate_max_clique, instance_from_relation, max_clique
 from tables import ATTRACTIVE_WITNESS_SHA256, MAX_FAMILY, MAX_FAMILY_WITNESS_3
 
 
@@ -222,22 +214,6 @@ def test_search_and_greedy_read_h_rows():
                 rows[v] & family for v in solver._bits(p & ~family))), (rows, p, need)
 
 
-def built_instance(monkeypatch, extremal, *args) -> CliqueInstance:
-    """The instance an extremal function hands to the clique engine."""
-    seen = []
-    engine = solver.max_clique
-
-    def capture(instance):
-        seen.append(instance)
-        return engine(instance)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "max_clique", capture)
-        extremal(*args)
-    assert len(seen) == 1
-    return seen[0]
-
-
 def unrelated_rows(g: Graph) -> list[int]:
     """The rows of H, the unrelated graph of g's vertex subsets, relabelled
     back to subset indices."""
@@ -285,21 +261,83 @@ def test_unrelated_graph_of_the_path_has_f_n_squared_pairs():
         assert sum(map(len, adj)) + fibonacci_count(n) == fibonacci_count(n) ** 2, n
 
 
-def test_exact_attractive_relation_is_attraction(monkeypatch):
-    alphabets = (skew_alphabet(), path(3), complete_multipartite((1, 1)))
+def mapping_graphs(n: int):
+    """Every (F, G) pair of the attractive grid at n positions."""
+    alphabets = (skew_alphabet(), path(3), complete_multipartite((1, 1)), Graph(3, []),
+                 all_loops(2), complete_multipartite((2, 1)))
+    return [(f_graph, g_graph) for f_graph in (path(n), all_loops(n), Graph(n, []))
+            for g_graph in alphabets]
+
+
+def attraction(f_graph: Graph, g_graph: Graph, n: int) -> CliqueInstance:
+    """The attraction relation on the mappings [n] -> V(g), straight from
+    its definition, one predicate call per pair."""
+    maps = list(itertools.product(range(g_graph.vertex_count), repeat=n))
+    fpairs = [(i, j) for i in range(n) for j in range(n) if f_graph.adjacent(i, j)]
+
+    def attractive(ia: int, ib: int) -> bool:
+        a, b = maps[ia], maps[ib]
+        return any(g_graph.adjacent(a[i], b[j]) for i, j in fpairs)
+
+    return instance_from_relation(len(maps), attractive)
+
+
+def test_exact_attractive_relation_is_attraction():
+    """exact_attractive builds no relation; H, read off per-position
+    products, is its complement, labelled by descending relation degree
+    with ties by index."""
     for n in range(1, 5):
-        for f_graph in (path(n), all_loops(n)):
-            for g_graph in alphabets:
-                maps = list(itertools.product(range(g_graph.vertex_count), repeat=n))
-                fpairs = [(i, j) for i in range(n) for j in range(n) if f_graph.adjacent(i, j)]
+        for f_graph, g_graph in mapping_graphs(n):
+            pos, adj, kept = solver._unrelated_mappings(f_graph, g_graph, n)
+            order = sorted(range(len(pos)), key=pos.__getitem__)
+            instance = attraction(f_graph, g_graph, n)
+            rows = instance.rows
+            assert order == sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
+            assert [sum(1 << order[w] for w in adj[pos[a]]) for a in range(len(pos))] == (
+                complement_rows(instance)), (n, f_graph, g_graph)
+            assert all(kept)
 
-                def attractive(ia: int, ib: int) -> bool:
-                    a, b = maps[ia], maps[ib]
-                    return any(g_graph.adjacent(a[i], b[j]) for i, j in fpairs)
 
-                inst = built_instance(monkeypatch, exact_attractive, f_graph, g_graph, n)
-                expected = instance_from_relation(len(maps), attractive)
-                assert inst.rows == expected.rows, (n, f_graph, g_graph)
+def dense_attractive(f_graph: Graph, g_graph: Graph, n: int):
+    """The mapping-family optimum from ``max_clique`` on the dense rows of
+    the product F x G with one-hot (position, value) codes: vertex
+    i * |V(g)| + u means position i takes value u."""
+    gv = g_graph.vertex_count
+    nbrs = [sum(g_graph.neighbors(u) << j * gv for j in range(n) if f_graph.adjacent(i, j))
+            for i in range(n) for u in range(gv)]
+    maps = list(itertools.product(range(gv), repeat=n))
+    codes = [sum(1 << i * gv + u for i, u in enumerate(m)) for m in maps]
+    res = max_clique(CliqueInstance.from_neighborhoods(nbrs, codes))
+    return res.size, [maps[a] for a in res.witness]
+
+
+def test_attractive_matches_the_dense_route():
+    """Size and witness of ``exact_attractive`` against ``max_clique`` on
+    complemented dense relation rows: on the attractive grid for n <= 4, and
+    on random position and value graphs with loops, at most 256 mappings."""
+    cases = [(f_graph, g_graph, n) for n in range(1, 5) for f_graph, g_graph in mapping_graphs(n)]
+    rng = random.Random(22)
+    for _ in range(40):
+        gv = rng.randint(1, 5)
+        n = rng.choice([k for k in range(1, 9) if gv ** k <= 256])
+        graphs = []
+        for vertices in (n + rng.randint(0, 2), gv):
+            pairs = [(u, v) for u in range(vertices) for v in range(u, vertices)]
+            density = rng.uniform(0.1, 0.7)
+            graphs.append(Graph(vertices, [e for e in pairs if rng.random() < density]))
+        cases.append((*graphs, n))
+    for f_graph, g_graph, n in cases:
+        res = exact_attractive(f_graph, g_graph, n)
+        assert (res.size, res.witness) == dense_attractive(f_graph, g_graph, n), (
+            f_graph, g_graph, n)
+
+
+def test_attractive_bench_work_is_pinned():
+    """The benchmark's attractive instance, path(7) positions on path(3)
+    values: H's vertices and edges, and the family size."""
+    _, adj, _ = solver._unrelated_mappings(path(7), path(3), 7)
+    assert (len(adj), sum(map(len, adj)) // 2) == (3 ** 7, 8256)
+    assert exact_attractive(path(7), path(3), 7).size == 2052
 
 
 def test_exact_M_values():
@@ -546,7 +584,7 @@ def test_subset_route_beyond_the_cap():
     pairwise non-skewincident strings cover all strings. exact_M stays
     capped at 12."""
     for n, size in ((13, 6826), (14, 13855)):
-        res = solver._subset_family(path(n))
+        res = solver._timed_family(solver._unrelated_graph, path(n))
         assert res.size == len(res.witness) == size
         assert verify_pairwise_skewincident(Family(n, tuple(res.witness))) is None
         class_cover_certificate(path(n), size)
@@ -605,10 +643,9 @@ def test_multipartite_witness_structure():
 
 
 def test_attractive_reduces_to_skewincidence():
-    """A second route for mappings: ``max_clique`` on complemented dense
-    rows, kept whole, against the subset route's submask walk with
-    shifting. Mappings to the skew alphabet are the strings, in the same
-    order."""
+    """The mapping route's per-position products, every mapping kept,
+    against the subset route's submask walk with shifting. Mappings to the
+    skew alphabet are the strings, in the same order."""
     for n in range(1, 11):
         res = exact_attractive(path(n), skew_alphabet(), n)
         ref = exact_M(n, override_cap=True)

@@ -11,20 +11,20 @@ are constrained on distinct pairs.
 
 There is one engine, ``_family``, and it works in the relation's
 complement, the unrelated graph H, which is sparse for the families here.
-Two builders feed it, and both read H off the values an element's code
-leaves free: subset families take the submasks of each subset's
-non-neighbourhood and leave the subsets a shifting lemma rules out to the
-witness pass; mappings take the product, over positions, of the values that
-no value at a related position is adjacent to. The size comes from the
-vertex-cover LP of H (a maximum matching on H's bipartite double cover,
-whose last round gives the Koenig cover, then an exact search of the
-Nemhauser-Trotter kernel); greedy cliques of H cover every element and bound
-any family by their number; and the lexicographically first witness is
-decided step by step by counting live classes, repairing a carried optimum,
-or else an iterative branch-and-bound search. Every search reads H's own
-rows, and one greedy H-clique cover, ``_clique_cover``, gives both the root
-classes and the search's colour bound. One augmenting-path matcher,
-``max_matching``, serves both this and the Sperner sweep's level matchings.
+One builder, ``_unrelated_mappings``, feeds it: a mapping's H-neighbours
+are the product, over positions, of the values that no value at a related
+position is adjacent to, and subset families are mappings into the skew
+alphabet. The size search leaves out every mapping that raising one value
+replaces without loss. The size comes from the vertex-cover LP of H (a
+maximum matching on H's bipartite double cover, whose last round gives the
+Koenig cover, then an exact search of the Nemhauser-Trotter kernel);
+greedy cliques of H cover every element and bound any family by their
+number; and the lexicographically first witness is decided step by step by
+counting live classes, repairing a carried optimum, or else an iterative
+branch-and-bound search. Every search reads H's own rows, and one greedy
+H-clique cover, ``_clique_cover``, gives both the root classes and the
+search's colour bound. One augmenting-path matcher, ``max_matching``,
+serves both this and the Sperner sweep's level matchings.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import operator
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .bitstring import BitString, submasks
-from .graphs import Graph, Partition, as_partition, path
+from .bitstring import BitString
+from .graphs import Graph, Partition, as_partition, path, skew_alphabet
 from .record import Record
 
 MAX_ELEMENTS = 4096
@@ -166,75 +166,66 @@ def max_matching(free: list[int], neighbours: Callable[[int], Iterable[int]],
         free = left
 
 
-def _unrelated_graph(g: Graph) -> tuple[list[int], list[list[int]], list[bool]]:
-    """The unrelated graph H on the vertex subsets of g: x ~ y iff y misses
-    N(x), so x's H-neighbours are the submasks of ``full & ~N(x)``.
-
-    Labels ascend by H-degree, ties by index, which is the order of
-    descending relation degree. Returns (pos, adj, kept): each
-    subset's label, and per label its H-neighbours other than itself and
-    whether it survives shifting (see ``_cover_family``).
-    """
-    full = (1 << g.vertex_count) - 1
-    reach = [0] * (full + 1)  # reach[x]: N(x)
-    for x in range(1, full + 1):
-        low = x & -x
-        reach[x] = reach[x ^ low] | g.neighbors(low.bit_length() - 1)
-    # x's H-degree: the 2^|free| submasks of its free bits, less x itself if x misses N(x)
-    order = sorted(range(full + 1), key=lambda x: (
-        (1 << g.vertex_count - reach[x].bit_count()) - (x & reach[x] == 0), x))
-    pos = sorted(range(full + 1), key=order.__getitem__)  # the inverse permutation
-    adj = [list(map(pos.__getitem__, submasks(full & ~reach[x]))) for x in order]
-    for v, x in enumerate(order):
-        if not x & reach[x]:
-            adj[v].remove(v)
-    kept = [x & reach[x] != 0 or x | reach[x] == full for x in order]
-    return pos, adj, kept
-
-
 def _unrelated_mappings(f_graph: Graph, g_graph: Graph,
                         n: int) -> tuple[list[int], list[list[int]], list[bool]]:
     """The unrelated graph H on the mappings [n] -> V(g), indexed with
     position 1 as the most significant digit: b ~ a iff each b_j lies in
     A_j(a), the values adjacent to no a_i with i ~F j, so a's H-neighbours
-    are the product of the A_j(a).
+    are the product of the A_j(a). It is the one builder of H: subsets are
+    mappings into the skew alphabet (``_subset_family``).
 
-    Labels ascend by H-degree, ties by index, as in ``_unrelated_graph``.
-    Returns (pos, adj, kept) with every mapping kept. Each distinct product
-    is listed once; the mappings outside it share that list, and those
-    inside it each get a copy without themselves.
+    Labels ascend by H-degree, ties by index, which is the order of
+    descending relation degree. Returns (pos, adj, kept): each mapping's
+    label, and per label its H-neighbours other than itself and whether the
+    size search needs it. A mapping a in its own product is not kept when
+    some position j has a free value w > a_j with N(a_j) inside N(w):
+    raising a_j to w gives a larger mapping unrelated to a and related to
+    all a is related to, so raising ends in an optimum of kept mappings.
+    Each distinct product, built from cached index offsets of each half of
+    the positions, is shared by the mappings outside it; those inside it
+    each get a copy without themselves.
     """
     gv = g_graph.vertex_count
     values = (1 << gv) - 1
-    # forbid[a]: bit j*gv + u when some a_i with i ~F j is adjacent to u
-    forbid, codes = [0], [0]
+    nbrs = [g_graph.neighbors(u) for u in range(gv)]
+    up = [_union(1 << w for w in range(u + 1, gv) if not nbrs[u] & ~nbrs[w]) for u in range(gv)]
+    # forbid[a]: bit j*gv + u when some a_i with i ~F j is adjacent to u; raises[a]: up[a_j] at j
+    forbid, codes, raises = [0], [0], [0]
     for i in range(n):
-        spread = [sum(g_graph.neighbors(u) << j * gv for j in range(n) if f_graph.adjacent(i, j))
+        spread = [sum(nbrs[u] << j * gv for j in range(n) if f_graph.adjacent(i, j))
                   for u in range(gv)]
         forbid = [f | s for f in forbid for s in spread]
         codes = [c | 1 << i * gv + u for c in codes for u in range(gv)]
+        raises = [r | up[u] << i * gv for r in raises for u in range(gv)]
+
+    @functools.cache
+    def offsets(f: int, positions: range) -> list[int]:
+        """The index offsets of the values free in f at ``positions``, ascending."""
+        out = [0]
+        for j in positions:
+            steps = [u * gv ** (n - 1 - j) for u in _bits(~f >> j * gv & values)]
+            out = [o + step for o in out for step in steps]
+        return out
+
+    high, low = range(n // 2), range(n // 2, n)
+    split = (1 << n // 2 * gv) - 1  # the forbidden bits of the high half
     groups: dict[int, list[int]] = {}  # the mappings of each product
     for a, f in enumerate(forbid):
         groups.setdefault(f, []).append(a)
-    degree = {f: math.prod((~f >> j * gv & values).bit_count() for j in range(n)) for f in groups}
     own = [not c & f for c, f in zip(codes, forbid)]  # a lies in its own product
+    degree = {f: len(offsets(f & split, high)) * len(offsets(f & ~split, low)) for f in groups}
     order = sorted(range(len(forbid)), key=lambda a: (degree[forbid[a]] - own[a], a))
     pos = sorted(range(len(forbid)), key=order.__getitem__)  # the inverse permutation
     adj: list[list[int]] = [[]] * len(forbid)
     for f, members in groups.items():
-        product = [0]
-        for j in range(n):
-            choices = list(_bits(~f >> j * gv & values))
-            product = [b * gv + u for b in product for u in choices]
-        product = list(map(pos.__getitem__, product))
+        product = [pos[h + l] for h in offsets(f & split, high) for l in offsets(f & ~split, low)]
         for a in members:
             v = pos[a]
+            adj[v] = product.copy() if own[a] else product
             if own[a]:
-                adj[v] = product.copy()
                 adj[v].remove(v)
-            else:
-                adj[v] = product
-    return pos, adj, [True] * len(forbid)
+    kept = [not own[a] or not raises[a] & ~forbid[a] for a in order]
+    return pos, adj, kept
 
 
 def _clique_cover(rows: Sequence[int], rest: int) -> list[int]:
@@ -259,23 +250,22 @@ def _cover_family(adj: Sequence[Sequence[int]], rows: Sequence[int], kept: Seque
     """A largest pairwise-related family, as a mask of H's vertices, from the
     vertex-cover LP of H.
 
-    Only the ``kept`` vertices are searched, so the others get no edges. For
-    subset families shifting members up to strict supersets ends in an
-    up-set of the same size, whose members are related to all their strict
-    supersets, so only subsets meeting N(x) or with x | N(x) everything are
-    kept; mapping families keep every element. The last round of
-    ``max_matching`` on H's double cover, which adds nothing, reaches from
-    the free left copies the right copies in a Koenig cover; a left copy is
-    reached when it is free or its partner is, and is in the cover when it
-    is not. LP value 0 means the left copy is reached and the right one is
-    not. By Nemhauser-Trotter those vertices plus a largest family inside
-    the half-integral kernel are optimal; half the kernel bounds that
-    family, which stops its search.
+    Only the ``kept`` vertices are searched: the matcher's neighbours skip
+    the others, so they get no edges. Raising a value of a left-out element
+    (see ``_unrelated_mappings``) ends in an optimum of the same size that
+    only has kept elements; for subsets this is the shifting lemma, which
+    keeps the subsets meeting N(x) or with x | N(x) everything. The last
+    round of ``max_matching`` on H's double cover, which adds nothing,
+    reaches from the free left copies the right copies in a Koenig cover;
+    a left copy is reached when it is free or its partner is, and is in the
+    cover when it is not. LP value 0 means the left copy is reached and the
+    right one is not. By Nemhauser-Trotter those vertices plus a largest
+    family inside the half-integral kernel are optimal; half the kernel
+    bounds that family, which stops its search.
     """
-    kept_adj = adj if all(kept) else [
-        list(filter(kept.__getitem__, a)) if k else [] for a, k in zip(adj, kept)]
     mate: dict[int, int] = {}
-    _, reached = max_matching([u for u, a in enumerate(kept_adj) if a], kept_adj.__getitem__, mate)
+    _, reached = max_matching([u for u, a in enumerate(adj) if kept[u] and a],
+                              lambda u: filter(kept.__getitem__, adj[u]), mate)
     full = (1 << len(adj)) - 1
     left = full & ~_union(1 << mate[v] for v in mate.keys() - reached)  # the reached left copies
     right = _union(1 << v for v in reached)
@@ -389,6 +379,15 @@ def _timed_family(build: Callable[..., tuple], *args: object) -> ExtremalResult:
     return ExtremalResult(size, witness, elapsed)
 
 
+def _subset_family(g: Graph) -> ExtremalResult:
+    """``_timed_family`` on g's vertex subsets as mappings into the skew
+    alphabet, whose positions are g's vertices in reverse order, so that a
+    mapping's index is the subset's mask with vertex 0 least significant."""
+    last = g.vertex_count - 1
+    positions = Graph(last + 1, ((last - u, last - v) for u, v in g.edges()))
+    return _timed_family(_unrelated_mappings, positions, skew_alphabet(), last + 1)
+
+
 def _relabel(result: ExtremalResult, label: Callable[[int], object]) -> ExtremalResult:
     """The same result with each witness element replaced by its label."""
     return ExtremalResult(result.size, list(map(label, result.witness)), result.elapsed_ms)
@@ -407,7 +406,7 @@ def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
             f" (pass override_cap=True or --override-cap for n up to {MAX_SUBSET_VERTICES})"
         )
         raise ValueError(f"n must be in [1, {cap}], got {n}{hint}")
-    return _relabel(_timed_family(_unrelated_graph, path(n)), functools.partial(BitString, n))
+    return _relabel(_subset_family(path(n)), functools.partial(BitString, n))
 
 
 def check_subset_vertices(count: int) -> None:
@@ -425,7 +424,7 @@ def exact_MG(g: Graph) -> ExtremalResult:
     significant; the witness lists subsets as sorted vertex tuples.
     """
     check_subset_vertices(g.vertex_count)
-    return _relabel(_timed_family(_unrelated_graph, g), lambda mask: tuple(_bits(mask)))
+    return _relabel(_subset_family(g), lambda mask: tuple(_bits(mask)))
 
 
 def multipartite_M(p: Partition | Sequence[int]) -> int:

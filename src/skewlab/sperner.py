@@ -39,9 +39,9 @@ from .solver import max_matching
 MAX_POSET_LENGTH = 20
 
 
-def _check_length(n: int, cap: int) -> None:
-    if not 1 <= n <= cap:
-        raise ValueError(f"n must be in [1, {cap}], got {n}")
+def _check_length(n: int) -> None:
+    if not 1 <= n <= MAX_POSET_LENGTH:
+        raise ValueError(f"n must be in [1, {MAX_POSET_LENGTH}], got {n}")
 
 
 def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int) -> int:
@@ -109,7 +109,7 @@ def antichain_sweep(max_n: int) -> Iterator[tuple[int, list[int], dict[int, int]
     to its successor in a chain partition with one chain through every
     string of ``peak``. Only the two latest lengths are held.
     """
-    _check_length(max_n, MAX_POSET_LENGTH)
+    _check_length(max_n)
     older = newer = ([[0]], {}, [])  # the empty string stands for lengths -1 and 0
     for n in range(1, max_n + 1):
         older, newer = newer, _next_length(n, older, newer)
@@ -122,7 +122,7 @@ def antichain_sizes(lo: int, hi: int) -> list[int]:
     lo > hi. Either end outside [1, MAX_POSET_LENGTH] raises ValueError."""
     if lo > hi:
         return []
-    _check_length(lo, MAX_POSET_LENGTH)
+    _check_length(lo)
     return [len(level) for n, level, _ in antichain_sweep(hi) if n >= lo]
 
 

@@ -30,7 +30,7 @@ from skewlab.constructions import (
 )
 from skewlab.record import Record
 from skewlab.solver import MAX_ELEMENTS, ExtremalResult, _bits, _timed_family, _union
-from skewlab.sperner import _check_length, antichain_sweep
+from skewlab.sperner import antichain_sweep
 
 ORACLE_MAX_LENGTH = 10
 
@@ -146,7 +146,8 @@ def enumerate_max_clique(instance: CliqueInstance) -> ExtremalResult:
 def max_antichain_oracle(n: int) -> int:
     """Maximum clique of the incomparability relation on the length-n
     no-adjacent-ones strings."""
-    _check_length(n, ORACLE_MAX_LENGTH)
+    if not 1 <= n <= ORACLE_MAX_LENGTH:
+        raise ValueError(f"n must be in [1, {ORACLE_MAX_LENGTH}], got {n}")
     bits = fibonacci_masks(n)
 
     def incomparable(i: int, j: int) -> bool:

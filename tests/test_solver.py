@@ -214,10 +214,19 @@ def test_search_and_greedy_read_h_rows():
                 rows[v] & family for v in solver._bits(p & ~family))), (rows, p, need)
 
 
+def subset_graph(g: Graph):
+    """The unrelated graph H of g's vertex subsets, as (pos, adj, kept): the
+    subsets are the mappings into the skew alphabet from g's vertices in
+    reverse order, indexed by their masks."""
+    last = g.vertex_count - 1
+    positions = Graph(last + 1, [(last - u, last - v) for u, v in g.edges()])
+    return solver._unrelated_mappings(positions, skew_alphabet(), last + 1)
+
+
 def unrelated_rows(g: Graph) -> list[int]:
     """The rows of H, the unrelated graph of g's vertex subsets, relabelled
     back to subset indices."""
-    pos, adj, _ = solver._unrelated_graph(g)
+    pos, adj, _ = subset_graph(g)
     order = sorted(range(len(pos)), key=pos.__getitem__)
     return [sum(1 << order[w] for w in adj[pos[x]]) for x in range(len(pos))]
 
@@ -257,7 +266,7 @@ def test_unrelated_graph_of_the_path_has_f_n_squared_pairs():
     y1 x2 y3 ... have no adjacent ones, so H on P_n has f_n^2 ordered pairs,
     the f_n strings without adjacent ones as self-pairs included."""
     for n in range(1, 13):
-        _, adj, _ = solver._unrelated_graph(path(n))
+        _, adj, _ = subset_graph(path(n))
         assert sum(map(len, adj)) + fibonacci_count(n) == fibonacci_count(n) ** 2, n
 
 
@@ -282,20 +291,80 @@ def attraction(f_graph: Graph, g_graph: Graph, n: int) -> CliqueInstance:
     return instance_from_relation(len(maps), attractive)
 
 
+def random_mapping_cases(rng: random.Random, count: int):
+    """``count`` random (F, G, n) with loops and at most 256 mappings."""
+    cases = []
+    for _ in range(count):
+        gv = rng.randint(1, 5)
+        n = rng.choice([k for k in range(1, 9) if gv ** k <= 256])
+        graphs = []
+        for vertices in (n + rng.randint(0, 2), gv):
+            pairs = [(u, v) for u in range(vertices) for v in range(u, vertices)]
+            density = rng.uniform(0.1, 0.7)
+            graphs.append(Graph(vertices, [e for e in pairs if rng.random() < density]))
+        cases.append((*graphs, n))
+    return cases
+
+
 def test_exact_attractive_relation_is_attraction():
     """exact_attractive builds no relation; H, read off per-position
     products, is its complement, labelled by descending relation degree
     with ties by index."""
     for n in range(1, 5):
         for f_graph, g_graph in mapping_graphs(n):
-            pos, adj, kept = solver._unrelated_mappings(f_graph, g_graph, n)
+            pos, adj, _ = solver._unrelated_mappings(f_graph, g_graph, n)
             order = sorted(range(len(pos)), key=pos.__getitem__)
             instance = attraction(f_graph, g_graph, n)
             rows = instance.rows
             assert order == sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
             assert [sum(1 << order[w] for w in adj[pos[a]]) for a in range(len(pos))] == (
                 complement_rows(instance)), (n, f_graph, g_graph)
-            assert all(kept)
+
+
+def raises(f_graph: Graph, g_graph: Graph, a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The mappings b that raise one value a_j to a w > a_j with N(a_j) inside
+    N(w), both b and a lying in a's product (unrelated to a), from
+    ``Graph.neighbors`` alone."""
+    n = len(a)
+
+    def unrelated(b: tuple[int, ...]) -> bool:
+        return not any(f_graph.adjacent(i, j) and g_graph.neighbors(a[i]) >> b[j] & 1
+                       for i in range(n) for j in range(n))
+
+    if not unrelated(a):
+        return []
+    out = []
+    for j in range(n):
+        below = g_graph.neighbors(a[j])
+        for w in range(a[j] + 1, g_graph.vertex_count):
+            b = a[:j] + (w,) + a[j + 1:]
+            if not below & ~g_graph.neighbors(w) and unrelated(b):
+                out.append(b)
+    return out
+
+
+def test_kept_elements_follow_the_raise_rule():
+    """The one builder leaves out of the size search exactly the elements
+    with a raise inside their own product. For subsets that is the shifting
+    rule: x is kept iff x meets N(x) or x | N(x) is everything."""
+    rng = random.Random(23)
+    graphs = [path(n) for n in range(1, 11)] + [all_loops(10), complete_multipartite((3, 3, 3))]
+    for _ in range(30):
+        vertices = rng.randint(1, 9)
+        pairs = [(u, v) for u in range(vertices) for v in range(u, vertices)]
+        graphs.append(Graph(vertices, [e for e in pairs if rng.random() < 0.4]))
+    for g in graphs:
+        pos, _, kept = subset_graph(g)
+        full = (1 << g.vertex_count) - 1
+        reach = [solver._union(g.neighbors(v) for v in solver._bits(x)) for x in range(full + 1)]
+        assert [kept[pos[x]] for x in range(full + 1)] == [
+            x & reach[x] != 0 or x | reach[x] == full for x in range(full + 1)], g
+    cases = [(f_graph, g_graph, n) for n in range(1, 5) for f_graph, g_graph in mapping_graphs(n)]
+    for f_graph, g_graph, n in cases + random_mapping_cases(random.Random(24), 40):
+        pos, _, kept = solver._unrelated_mappings(f_graph, g_graph, n)
+        maps = list(itertools.product(range(g_graph.vertex_count), repeat=n))
+        assert [kept[pos[a]] for a in range(len(maps))] == [
+            not raises(f_graph, g_graph, m) for m in maps], (f_graph, g_graph, n)
 
 
 def dense_attractive(f_graph: Graph, g_graph: Graph, n: int):
@@ -316,17 +385,7 @@ def test_attractive_matches_the_dense_route():
     complemented dense relation rows: on the attractive grid for n <= 4, and
     on random position and value graphs with loops, at most 256 mappings."""
     cases = [(f_graph, g_graph, n) for n in range(1, 5) for f_graph, g_graph in mapping_graphs(n)]
-    rng = random.Random(22)
-    for _ in range(40):
-        gv = rng.randint(1, 5)
-        n = rng.choice([k for k in range(1, 9) if gv ** k <= 256])
-        graphs = []
-        for vertices in (n + rng.randint(0, 2), gv):
-            pairs = [(u, v) for u in range(vertices) for v in range(u, vertices)]
-            density = rng.uniform(0.1, 0.7)
-            graphs.append(Graph(vertices, [e for e in pairs if rng.random() < density]))
-        cases.append((*graphs, n))
-    for f_graph, g_graph, n in cases:
+    for f_graph, g_graph, n in cases + random_mapping_cases(random.Random(22), 40):
         res = exact_attractive(f_graph, g_graph, n)
         assert (res.size, res.witness) == dense_attractive(f_graph, g_graph, n), (
             f_graph, g_graph, n)
@@ -479,9 +538,9 @@ def unseeded_subset_family(g: Graph):
 
 def test_seeded_subset_family_matches_unseeded_engine():
     """Size and witness of ``exact_MG`` against ``max_clique`` on the same
-    relation: two builds of H, one from submask walks with the shifted
-    subsets left out of the size search, one by complementing dense rows
-    with every subset kept. On random graphs with loops, K_{3,3,3}, paths,
+    relation: two builds of H, one from per-position products with the
+    raised subsets left out of the size search, one by complementing dense
+    rows with every subset kept. On random graphs with loops, K_{3,3,3}, paths,
     all-loops and edgeless."""
     rng = random.Random(40)
     graphs = []
@@ -504,7 +563,7 @@ def class_cover_certificate(g: Graph, size: int) -> None:
     greedy classes partition all subsets, and any two distinct members of a
     class contain no adjacent pair, so a family takes at most one member of
     each; there are exactly ``size`` classes."""
-    pos, adj, _ = solver._unrelated_graph(g)
+    pos, adj, _ = subset_graph(g)
     order = sorted(range(len(pos)), key=pos.__getitem__)
     rows = [sum(1 << w for w in a) for a in adj]
     cover = solver._clique_cover(rows, (1 << len(rows)) - 1)
@@ -584,7 +643,7 @@ def test_subset_route_beyond_the_cap():
     pairwise non-skewincident strings cover all strings. exact_M stays
     capped at 12."""
     for n, size in ((13, 6826), (14, 13855)):
-        res = solver._timed_family(solver._unrelated_graph, path(n))
+        res = solver._subset_family(path(n))
         assert res.size == len(res.witness) == size
         assert verify_pairwise_skewincident(Family(n, tuple(res.witness))) is None
         class_cover_certificate(path(n), size)
@@ -643,14 +702,13 @@ def test_multipartite_witness_structure():
 
 
 def test_attractive_reduces_to_skewincidence():
-    """The mapping route's per-position products, every mapping kept,
-    against the subset route's submask walk with shifting. Mappings to the
-    skew alphabet are the strings, in the same order."""
-    for n in range(1, 11):
+    """Mappings of the path to the skew alphabet are the strings, in the same
+    order: their sizes and witnesses are the frozen skewincidence ones."""
+    for n, size in MAX_FAMILY.items():
         res = exact_attractive(path(n), skew_alphabet(), n)
-        ref = exact_M(n, override_cap=True)
-        assert res.size == ref.size, n
-        assert ["".join(map(str, m)) for m in res.witness] == [str(w) for w in ref.witness], n
+        witness = " ".join("".join(map(str, m)) for m in res.witness)
+        assert (res.size, hashlib.sha256(witness.encode()).hexdigest()) == (
+            size, EXACT_M_WITNESS_SHA256[n]), n
 
 
 def test_attractive_witness_digests():

@@ -723,6 +723,25 @@ def test_attractive_witness_digests():
         assert (res.size, hashlib.sha256(witness.encode()).hexdigest()) == (size, digest), f_graph
 
 
+def test_attractive_dense_unrelated_graphs_are_pinned():
+    """Two instances where few pairs are related, so H is nearly complete:
+    ``attractive --n 3 --alphabet-graph edgeless:16`` (no related pair) and
+    ``attractive --n 2 --alphabet-graph path:64`` (about 6% of pairs related).
+    Sizes and SHA-256 of the comma-joined witnesses; the witness is checked
+    pairwise attractive from ``Graph.adjacent`` alone."""
+    cases = (
+        (Graph(16, []), 3, 1, "7c01691d53eb209bba1ea4ade72c86e6e85b6efbec920cc9ca5756e7c4e98c55"),
+        (path(64), 2, 6, "f14da8a5d4e986323cba24637e2b9187e9cc2255b5bea908864131873f6c1ec5"),
+    )
+    for g_graph, n, size, digest in cases:
+        res = exact_attractive(path(n), g_graph, n)
+        witness = " ".join(",".join(map(str, m)) for m in res.witness)
+        assert (res.size, hashlib.sha256(witness.encode()).hexdigest()) == (size, digest), g_graph
+        for a, b in itertools.combinations(res.witness, 2):
+            assert any(path(n).adjacent(i, j) and g_graph.adjacent(a[i], b[j])
+                       for i in range(n) for j in range(n)), (a, b)
+
+
 def test_attractive_all_loops_k2():
     k2 = complete_multipartite((1, 1))
     for n in range(1, 5):

@@ -10,9 +10,9 @@ gives pairwise-attractive mappings. Self-relation never matters: families
 are constrained on distinct pairs.
 
 There is one engine, ``_family``, and it works in the relation's
-complement, the unrelated graph H, which is sparse for the families here.
-One builder, ``_unrelated_mappings``, feeds it: a mapping's H-neighbours
-are the product, over positions, of the values that no value at a related
+complement, the unrelated graph H, held as one bit row per element. One
+builder, ``_unrelated_mappings``, feeds it: a mapping's H-neighbours are
+the product, over positions, of the values that no value at a related
 position is adjacent to, and subset families are mappings into the skew
 alphabet. The size search leaves out every mapping that raising one value
 replaces without loss. The size comes from the vertex-cover LP of H (a
@@ -122,14 +122,14 @@ def _search(rows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | N
     return best
 
 
-def augment(start: int, neighbours: Callable[[int], Iterable[int]], mate: dict[int, int],
-            seen: set[int]) -> bool:
+def augment(start: int, neighbours: Callable[[int, set[int]], Iterable[int]],
+            mate: dict[int, int], seen: set[int]) -> bool:
     """Extend a bipartite matching along an augmenting path from the free
     left vertex ``start``, searched depth-first in ``neighbours`` order;
     ``mate`` maps each matched right vertex to its left partner and is
     rewritten along the path. False if no path avoids ``seen``, which
-    gathers the right vertices reached."""
-    stack = [(start, iter(neighbours(start)), None)]
+    gathers the right vertices reached; ``neighbours(u, seen)`` may skip it."""
+    stack = [(start, iter(neighbours(start, seen)), None)]
     while stack:  # frames: a left vertex on the path, its untried edges, the right vertex it came by
         for v in stack[-1][1]:
             if v not in seen:
@@ -139,14 +139,14 @@ def augment(start: int, neighbours: Callable[[int], Iterable[int]], mate: dict[i
                     for (a, _, _), (_, _, b) in zip(stack, stack[1:] + [(None, None, v)]):
                         mate[b] = a
                     return True
-                stack.append((w, iter(neighbours(w)), v))
+                stack.append((w, iter(neighbours(w, seen)), v))
                 break
         else:
             stack.pop()
     return False
 
 
-def max_matching(free: list[int], neighbours: Callable[[int], Iterable[int]],
+def max_matching(free: list[int], neighbours: Callable[[int, set[int]], Iterable[int]],
                  mate: dict[int, int]) -> tuple[list[int], set[int]]:
     """Grow the matching ``mate`` (right vertex: left partner) to a maximum
     one by augmenting paths from the free left vertices ``free``.
@@ -154,9 +154,9 @@ def max_matching(free: list[int], neighbours: Callable[[int], Iterable[int]],
     Searches share their reached right vertices in rounds, since a failed
     search's vertices reach no free right vertex while the matching stays
     the same; a round retries the vertices the last one left free, until one
-    adds nothing. Returns the left vertices still free and that last round's
-    reached set, which is then every right vertex that an alternating path
-    from them reaches.
+    adds nothing; each round's reached set starts empty. Returns the left
+    vertices still free and that last round's reached set, which is then
+    every right vertex that an alternating path from them reaches.
     """
     while True:
         seen: set[int] = set()
@@ -167,7 +167,7 @@ def max_matching(free: list[int], neighbours: Callable[[int], Iterable[int]],
 
 
 def _unrelated_mappings(f_graph: Graph, g_graph: Graph,
-                        n: int) -> tuple[list[int], list[list[int]], list[bool]]:
+                        n: int) -> tuple[list[int], list[int], list[bool]]:
     """The unrelated graph H on the mappings [n] -> V(g), indexed with
     position 1 as the most significant digit: b ~ a iff each b_j lies in
     A_j(a), the values adjacent to no a_i with i ~F j, so a's H-neighbours
@@ -175,15 +175,15 @@ def _unrelated_mappings(f_graph: Graph, g_graph: Graph,
     mappings into the skew alphabet (``_subset_family``).
 
     Labels ascend by H-degree, ties by index, which is the order of
-    descending relation degree. Returns (pos, adj, kept): each mapping's
-    label, and per label its H-neighbours other than itself and whether the
-    size search needs it. A mapping a in its own product is not kept when
-    some position j has a free value w > a_j with N(a_j) inside N(w):
-    raising a_j to w gives a larger mapping unrelated to a and related to
-    all a is related to, so raising ends in an optimum of kept mappings.
-    Each distinct product, built from cached index offsets of each half of
-    the positions, is shared by the mappings outside it; those inside it
-    each get a copy without themselves.
+    descending relation degree. Returns (pos, rows, kept): each mapping's
+    label, and per label the mask of its H-neighbours other than itself and
+    whether the size search needs it. A mapping a in its own product is not
+    kept when some position j has a free value w > a_j with N(a_j) inside
+    N(w): raising a_j to w gives a larger mapping unrelated to a and related
+    to all a is related to, so raising ends in an optimum of kept mappings.
+    Each distinct product's row is the OR, over the cached index offsets of
+    its high half of positions, of a cached partial row of the low half;
+    the mappings inside it clear their own bit.
     """
     gv = g_graph.vertex_count
     values = (1 << gv) - 1
@@ -216,16 +216,19 @@ def _unrelated_mappings(f_graph: Graph, g_graph: Graph,
     degree = {f: len(offsets(f & split, high)) * len(offsets(f & ~split, low)) for f in groups}
     order = sorted(range(len(forbid)), key=lambda a: (degree[forbid[a]] - own[a], a))
     pos = sorted(range(len(forbid)), key=order.__getitem__)  # the inverse permutation
-    adj: list[list[int]] = [[]] * len(forbid)
+
+    @functools.cache
+    def part(h: int, fl: int) -> int:
+        """The labels of the mappings at high offset h whose low half is free in fl."""
+        return _union(1 << pos[h + l] for l in offsets(fl, low))
+
+    rows = [0] * len(forbid)
     for f, members in groups.items():
-        product = [pos[h + l] for h in offsets(f & split, high) for l in offsets(f & ~split, low)]
+        row = _union(part(h, f & ~split) for h in offsets(f & split, high))
         for a in members:
-            v = pos[a]
-            adj[v] = product.copy() if own[a] else product
-            if own[a]:
-                adj[v].remove(v)
+            rows[pos[a]] = row ^ own[a] << pos[a]
     kept = [not own[a] or not raises[a] & ~forbid[a] for a in order]
-    return pos, adj, kept
+    return pos, rows, kept
 
 
 def _clique_cover(rows: Sequence[int], rest: int) -> list[int]:
@@ -246,30 +249,49 @@ def _clique_cover(rows: Sequence[int], rest: int) -> list[int]:
     return classes
 
 
-def _cover_family(adj: Sequence[Sequence[int]], rows: Sequence[int], kept: Sequence[bool]) -> int:
+def _row_neighbours(rows: Sequence[int], keep: int) -> Callable[[int, set[int]], Iterator[int]]:
+    """``max_matching`` neighbours of u: the bits of ``rows[u] & keep`` that
+    the round has not reached, highest first. A mask mirrors the reached set
+    ``seen`` and resets when it is empty, so a dense row costs one big-int
+    operation per vertex reached."""
+    avail = keep
+
+    def neighbours(u: int, seen: set[int]) -> Iterator[int]:
+        nonlocal avail
+        avail = avail if seen else keep
+        while row := rows[u] & avail:
+            v = row.bit_length() - 1
+            avail ^= 1 << v
+            yield v
+
+    return neighbours
+
+
+def _cover_family(rows: Sequence[int], kept: Sequence[bool]) -> int:
     """A largest pairwise-related family, as a mask of H's vertices, from the
     vertex-cover LP of H.
 
-    Only the ``kept`` vertices are searched: the matcher's neighbours skip
-    the others, so they get no edges. Raising a value of a left-out element
-    (see ``_unrelated_mappings``) ends in an optimum of the same size that
-    only has kept elements; for subsets this is the shifting lemma, which
-    keeps the subsets meeting N(x) or with x | N(x) everything. The last
-    round of ``max_matching`` on H's double cover, which adds nothing,
-    reaches from the free left copies the right copies in a Koenig cover;
-    a left copy is reached when it is free or its partner is, and is in the
-    cover when it is not. LP value 0 means the left copy is reached and the
-    right one is not. By Nemhauser-Trotter those vertices plus a largest
-    family inside the half-integral kernel are optimal; half the kernel
-    bounds that family, which stops its search.
+    Only the ``kept`` vertices are searched: the matcher reads each row
+    through the kept mask, so the others get no edges. Raising a value of a
+    left-out element (see ``_unrelated_mappings``) ends in an optimum of the
+    same size that only has kept elements; for subsets this is the shifting
+    lemma, which keeps the subsets meeting N(x) or with x | N(x) everything.
+    The last round of ``max_matching`` on H's double cover, which adds
+    nothing, reaches from the free left copies the right copies in a Koenig
+    cover; a left copy is reached when it is free or its partner is, and is
+    in the cover when it is not. LP value 0 means the left copy is reached
+    and the right one is not. By Nemhauser-Trotter those vertices plus a
+    largest family inside the half-integral kernel are optimal; half the
+    kernel bounds that family, which stops its search.
     """
+    keep = _union(1 << v for v, k in enumerate(kept) if k)
     mate: dict[int, int] = {}
-    _, reached = max_matching([u for u, a in enumerate(adj) if kept[u] and a],
-                              lambda u: filter(kept.__getitem__, adj[u]), mate)
-    full = (1 << len(adj)) - 1
+    _, reached = max_matching([u for u, row in enumerate(rows) if kept[u] and row],
+                              _row_neighbours(rows, keep), mate)
+    full = (1 << len(rows)) - 1
     left = full & ~_union(1 << mate[v] for v in mate.keys() - reached)  # the reached left copies
     right = _union(1 << v for v in reached)
-    zero = left & ~right & _union(1 << v for v, k in enumerate(kept) if k)
+    zero = left & ~right & keep
     kernel = full & ~(left ^ right)
     half = kernel.bit_count() // 2
     family = _greedy_clique(rows, kernel, half)
@@ -294,26 +316,26 @@ def _repair(rows: Sequence[int], known: int, hit: int, cand: int, need: int) -> 
     return family | _greedy_clique(rows, avail, need - family.bit_count())
 
 
-def _family(pos: Sequence[int], adj: Sequence[Sequence[int]],
+def _family(pos: Sequence[int], rows: Sequence[int],
             kept: Sequence[bool]) -> tuple[int, list[int]]:
     """Size and lexicographically first witness of a largest family: a set
     of element indices, no two of them adjacent in the unrelated graph H.
 
-    Element x has label pos[x]; adj[v] lists label v's H-neighbours, other
-    than v, and kept[v] whether the size search needs it. The size comes
-    from ``_cover_family``. The witness is the lexicographically first
-    optimum: elements are committed in ascending index order whenever a
-    completion to that size still exists. A largest family is carried along,
-    with a count of live candidates in each class of ``_clique_cover``, the
-    greedy H-clique cover that also bounds the exact search on H's rows.
-    Committing x drops x and its live H-neighbours. When x is not in the
-    carried family, the completion is refuted if fewer than the needed
-    number of classes stay live, else repaired from the carried family, and
-    only if both fail decided by an exact search.
+    Element x has label pos[x]; rows[v] is the mask of label v's
+    H-neighbours, other than v, and kept[v] whether the size search needs
+    it. The size comes from ``_cover_family``. The witness is the
+    lexicographically first optimum: elements are committed in ascending
+    index order whenever a completion to that size still exists. A largest
+    family is carried along, with a count of live candidates in each class
+    of ``_clique_cover``, the greedy H-clique cover that also bounds the
+    exact search on H's rows. Committing x drops x and its H-neighbours
+    among the candidates. When x is not in the carried family, the
+    completion is refuted if fewer than the needed number of classes stay
+    live, else repaired from the carried family, and only if both fail
+    decided by an exact search.
     """
-    rows = [_union(map((1).__lshift__, a)) for a in adj]
     count = len(pos)
-    p = (1 << count) - 1  # candidates, in new labels, also as flags
+    p = (1 << count) - 1  # candidates, in new labels
     classes = _clique_cover(rows, p)
     colour = [0] * count
     for c, members in enumerate(classes):
@@ -321,23 +343,21 @@ def _family(pos: Sequence[int], adj: Sequence[Sequence[int]],
             colour[v] = c
     live = [members.bit_count() for members in classes]
     live_classes = len(classes)
-    known = _cover_family(adj, rows, kept)  # a carried optimum's members beyond the witness
+    known = _cover_family(rows, kept)  # a carried optimum's members beyond the witness
     size = known.bit_count()
     witness: list[int] = []
-    alive = bytearray(b"\1") * count
     for x in range(count):
         if len(witness) == size:
             break
         v = pos[x]
-        if not alive[v]:
+        if not p >> v & 1:
             continue
-        alive[v] = 0
-        hit = [w for w in adj[v] if alive[w]]  # what committing x drops with it
-        hit_mask = rows[v] & p
-        cand = p & ~(hit_mask | 1 << v)
+        hit = rows[v] & p  # what committing x drops with it
+        cand = p ^ hit ^ 1 << v
         need = size - len(witness) - 1
+        dropped = [v, *_bits(hit)]
         emptied = 0
-        for w in [v, *hit]:
+        for w in dropped:
             live[colour[w]] -= 1
             emptied += live[colour[w]] == 0
         if known >> v & 1:
@@ -345,20 +365,18 @@ def _family(pos: Sequence[int], adj: Sequence[Sequence[int]],
         else:
             completion = None
             if live_classes - emptied >= need:
-                completion = _repair(rows, known, hit_mask, cand, need)
+                completion = _repair(rows, known, hit, cand, need)
                 if completion.bit_count() < need:
                     found = _search(rows, cand, need - 1, need)
                     completion = None if found is None else _union(1 << w for w in found)
             if completion is None:
-                for w in hit:
+                for w in dropped[1:]:
                     live[colour[w]] += 1
                 live_classes -= live[colour[v]] == 0
                 p ^= 1 << v
                 continue
             known = completion
         witness.append(x)
-        for w in hit:
-            alive[w] = 0
         p = cand
         live_classes -= emptied
     wmask = _union(1 << pos[x] for x in witness)

@@ -59,7 +59,7 @@ def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int
     else:
         mate, free = up, [b for b in upper if b not in matched]
 
-    def neighbours(s: int) -> Iterator[int]:
+    def neighbours(s: int, seen: set[int]) -> Iterator[int]:
         bits = full & ~(s | s << 1 | s >> 1) if upward else s
         while bits:
             bit = 1 << bits.bit_length() - 1

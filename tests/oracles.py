@@ -77,7 +77,7 @@ class CliqueInstance(Record):
         return cls(len(codes), tuple(rows))
 
 
-def complement_graph(instance: CliqueInstance) -> tuple[list[int], list[list[int]], list[bool]]:
+def complement_graph(instance: CliqueInstance) -> tuple[list[int], list[int], list[bool]]:
     """The unrelated graph H of the rows, in the engine's labels: descending
     relation degree, ties by index, every element kept. Each element's
     unrelated elements are read off its complemented row; one of them
@@ -87,13 +87,13 @@ def complement_graph(instance: CliqueInstance) -> tuple[list[int], list[list[int
     order = sorted(range(count), key=lambda v: (-rows[v].bit_count(), v))
     pos = sorted(range(count), key=order.__getitem__)  # the inverse permutation
     full = (1 << count) - 1
-    adj = []
+    unrelated_rows = []
     for v in order:
         unrelated = list(_bits(full & ~(rows[v] | 1 << v)))
         if any(rows[w] >> v & 1 for w in unrelated):
             raise ValueError(f"relation is not symmetric: row {v} misses an element relating to it")
-        adj.append(list(map(pos.__getitem__, unrelated)))
-    return pos, adj, [True] * count
+        unrelated_rows.append(_union(1 << pos[w] for w in unrelated))
+    return pos, unrelated_rows, [True] * count
 
 
 def max_clique(instance: CliqueInstance) -> ExtremalResult:

@@ -91,6 +91,19 @@ def test_engine_matches_enumeration_oracle():
         assert fast.size == slow.size, (count, density, seed)
 
 
+def test_engine_matches_the_oracles_at_density_extremes():
+    """Relations with 2-5% or 95-98% of pairs related, so that H is nearly
+    complete or nearly empty: sizes against the subset scan, witnesses
+    against the first of all maximum cliques."""
+    cases = [(count, density, seed) for density in (0.02, 0.05, 0.95, 0.98)
+             for count, seed in ((12, 31), (16, 32), (20, 33))]
+    for count, density, seed in cases:
+        inst = random_instance(count, density, seed)
+        res = max_clique(inst)
+        assert res.size == enumerate_max_clique(inst).size, (count, density, seed)
+        assert res.witness == min(all_maximum_cliques(inst)), (count, density, seed)
+
+
 def test_witness_is_valid_and_lex_first(monkeypatch):
     """The larger instances are ones where the witness pass answers a
     completion by growing what is left of the carried optimum, which the
@@ -215,7 +228,7 @@ def test_search_and_greedy_read_h_rows():
 
 
 def subset_graph(g: Graph):
-    """The unrelated graph H of g's vertex subsets, as (pos, adj, kept): the
+    """The unrelated graph H of g's vertex subsets, as (pos, rows, kept): the
     subsets are the mappings into the skew alphabet from g's vertices in
     reverse order, indexed by their masks."""
     last = g.vertex_count - 1
@@ -226,9 +239,14 @@ def subset_graph(g: Graph):
 def unrelated_rows(g: Graph) -> list[int]:
     """The rows of H, the unrelated graph of g's vertex subsets, relabelled
     back to subset indices."""
-    pos, adj, _ = subset_graph(g)
+    pos, rows, _ = subset_graph(g)
+    return relabel_rows(pos, rows)
+
+
+def relabel_rows(pos: list[int], rows: list[int]) -> list[int]:
+    """H's rows, given per label, as rows over element indices."""
     order = sorted(range(len(pos)), key=pos.__getitem__)
-    return [sum(1 << order[w] for w in adj[pos[x]]) for x in range(len(pos))]
+    return [sum(1 << order[w] for w in solver._bits(rows[pos[x]])) for x in range(len(pos))]
 
 
 def complement_rows(instance: CliqueInstance) -> list[int]:
@@ -266,8 +284,9 @@ def test_unrelated_graph_of_the_path_has_f_n_squared_pairs():
     y1 x2 y3 ... have no adjacent ones, so H on P_n has f_n^2 ordered pairs,
     the f_n strings without adjacent ones as self-pairs included."""
     for n in range(1, 13):
-        _, adj, _ = subset_graph(path(n))
-        assert sum(map(len, adj)) + fibonacci_count(n) == fibonacci_count(n) ** 2, n
+        _, rows, _ = subset_graph(path(n))
+        assert sum(row.bit_count() for row in rows) + fibonacci_count(n) == (
+            fibonacci_count(n) ** 2), n
 
 
 def mapping_graphs(n: int):
@@ -312,13 +331,12 @@ def test_exact_attractive_relation_is_attraction():
     with ties by index."""
     for n in range(1, 5):
         for f_graph, g_graph in mapping_graphs(n):
-            pos, adj, _ = solver._unrelated_mappings(f_graph, g_graph, n)
+            pos, h_rows, _ = solver._unrelated_mappings(f_graph, g_graph, n)
             order = sorted(range(len(pos)), key=pos.__getitem__)
             instance = attraction(f_graph, g_graph, n)
             rows = instance.rows
             assert order == sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
-            assert [sum(1 << order[w] for w in adj[pos[a]]) for a in range(len(pos))] == (
-                complement_rows(instance)), (n, f_graph, g_graph)
+            assert relabel_rows(pos, h_rows) == complement_rows(instance), (n, f_graph, g_graph)
 
 
 def raises(f_graph: Graph, g_graph: Graph, a: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -394,8 +412,8 @@ def test_attractive_matches_the_dense_route():
 def test_attractive_bench_work_is_pinned():
     """The benchmark's attractive instance, path(7) positions on path(3)
     values: H's vertices and edges, and the family size."""
-    _, adj, _ = solver._unrelated_mappings(path(7), path(3), 7)
-    assert (len(adj), sum(map(len, adj)) // 2) == (3 ** 7, 8256)
+    _, rows, _ = solver._unrelated_mappings(path(7), path(3), 7)
+    assert (len(rows), sum(row.bit_count() for row in rows) // 2) == (3 ** 7, 8256)
     assert exact_attractive(path(7), path(3), 7).size == 2052
 
 
@@ -456,7 +474,7 @@ def alternating_reach(adj: list[list[int]], free: list[int], mate: dict[int, int
 
 def check_max_matching(adj: list[list[int]], right: int, mate: dict[int, int], trial: int) -> None:
     given = [u for u in range(len(adj)) if u not in mate.values()]
-    free, reach = solver.max_matching(given, adj.__getitem__, mate)
+    free, reach = solver.max_matching(given, lambda u, seen: adj[u], mate)
     assert all(v in adj[u] for v, u in mate.items()), trial
     assert len(set(mate.values())) == len(mate), trial
     assert len(mate) == kuhn_matching_size(adj, right), trial
@@ -481,6 +499,27 @@ def test_max_matching_returns_free_vertices_and_their_reach():
                 partial[rng.choice(open_edges)] = u
         check_max_matching(adj, right, partial, trial)
     assert solver.max_matching([], [].__getitem__, {}) == ([], set())
+
+
+def test_max_matching_on_dense_rows():
+    """The clique kernel's matcher on random rows with 90-97% of pairs
+    present, read through a random kept mask by ``_row_neighbours``: the
+    matching is maximum and the reach is the alternating one, as with plain
+    neighbour lists."""
+    rng = random.Random(6)
+    for trial in range(6):
+        count = 200
+        density = rng.uniform(0.9, 0.97)
+        rows = [sum(1 << v for v in range(count) if v != u and rng.random() < density)
+                for u in range(count)]
+        keep = sum(1 << v for v in range(count) if rng.random() < 0.9)
+        adj = [list(solver._bits(row & keep)) for row in rows]
+        mate: dict[int, int] = {}
+        free, reach = solver.max_matching(list(range(count)), solver._row_neighbours(rows, keep), mate)
+        assert all(v in adj[u] for v, u in mate.items()), trial
+        assert len(set(mate.values())) == len(mate) == kuhn_matching_size(adj, count), trial
+        assert free == [u for u in range(count) if u not in mate.values()], trial
+        assert reach == alternating_reach(adj, free, mate), trial
 
 
 def test_exact_M_witness():
@@ -563,9 +602,8 @@ def class_cover_certificate(g: Graph, size: int) -> None:
     greedy classes partition all subsets, and any two distinct members of a
     class contain no adjacent pair, so a family takes at most one member of
     each; there are exactly ``size`` classes."""
-    pos, adj, _ = subset_graph(g)
+    pos, rows, _ = subset_graph(g)
     order = sorted(range(len(pos)), key=pos.__getitem__)
-    rows = [sum(1 << w for w in a) for a in adj]
     cover = solver._clique_cover(rows, (1 << len(rows)) - 1)
     classes = [[order[v] for v in solver._bits(c)] for c in cover]
     assert sorted(x for members in classes for x in members) == list(range(len(pos)))

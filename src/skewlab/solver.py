@@ -259,10 +259,9 @@ def _row_neighbours(rows: Sequence[int], keep: int) -> Callable[[int, set[int]],
     def neighbours(u: int, seen: set[int]) -> Iterator[int]:
         nonlocal avail
         avail = avail if seen else keep
-        while row := rows[u] & avail:
-            v = row.bit_length() - 1
-            avail ^= 1 << v
-            yield v
+        while top := (rows[u] & avail).bit_length():  # no row held while suspended
+            avail ^= 1 << top - 1
+            yield top - 1
 
     return neighbours
 

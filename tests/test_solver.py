@@ -498,7 +498,7 @@ def test_max_matching_returns_free_vertices_and_their_reach():
             if open_edges and rng.random() < 0.5:
                 partial[rng.choice(open_edges)] = u
         check_max_matching(adj, right, partial, trial)
-    assert solver.max_matching([], [].__getitem__, {}) == ([], set())
+    assert solver.max_matching([], lambda u, seen: [], {}) == ([], set())
 
 
 def test_max_matching_on_dense_rows():
@@ -507,8 +507,8 @@ def test_max_matching_on_dense_rows():
     matching is maximum and the reach is the alternating one, as with plain
     neighbour lists."""
     rng = random.Random(6)
+    count = 200
     for trial in range(6):
-        count = 200
         density = rng.uniform(0.9, 0.97)
         rows = [sum(1 << v for v in range(count) if v != u and rng.random() < density)
                 for u in range(count)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from collections.abc import Callable
 
@@ -71,20 +72,21 @@ def _build_graph(spec: str, default_n: int | None = None) -> graphs.Graph:
 
 def _emit_result(args: argparse.Namespace, extra: dict[str, object],
                  result: solver.ExtremalResult) -> int:
-    """A solver result as its JSON record, or as one table row led by ``extra``."""
-    if args.fmt == "json":
-        _emit(args, solver.result_to_json(result, include_elapsed=args.timing) + "\n")
-        return 0
-    columns = list(extra) + ["size", "method", "witness"]
-    row = list(extra.values()) + [
-        result.size,
-        "branch-and-bound",
-        " ".join(str(solver.witness_descriptor(w)) for w in result.witness),
-    ]
+    """A solver result as its JSON record with sorted keys, or as one table row
+    led by ``extra``; a witness entry is a string literal or an index list."""
+    fields: dict[str, object] = {
+        "size": result.size,
+        "method": "branch-and-bound",
+        "witness": [list(w) if isinstance(w, tuple) else str(w) for w in result.witness],
+    }
     if args.timing:
-        columns.append("elapsed_ms")
-        row.append(result.elapsed_ms)
-    _emit_table(args, Table(tuple(columns), (tuple(row),)))
+        fields["elapsed_ms"] = result.elapsed_ms
+    if args.fmt == "json":
+        _emit(args, json.dumps(fields, sort_keys=True) + "\n")
+        return 0
+    fields["witness"] = " ".join(map(str, fields["witness"]))
+    row = tuple(extra.values()) + tuple(fields.values())
+    _emit_table(args, Table(tuple(extra) + tuple(fields), (row,)))
     return 0
 
 

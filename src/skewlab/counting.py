@@ -54,10 +54,7 @@ _LANES = 2048
 _LANE_BITS = 128
 _LANE_BYTE_SUM = ((1 << _LANE_BITS) - 1) // 0xFF  # 1 in each of a lane's 16 bytes
 
-# The widest root a float log2 estimate seeds to within a few units: the
-# coarsest level of floor_kth_root's precision ladder. floor_pow2_upto's
-# brackets keep _ROOT_GUARD_BITS bits below the binary point.
-_SEED_BITS = 32
+# floor_pow2_upto's brackets keep _ROOT_GUARD_BITS bits below the binary point.
 _ROOT_GUARD_BITS = 64
 
 
@@ -83,10 +80,6 @@ class GammaDistribution(Record):
     count for gamma = v is slot v of ``packed``, _SLOT_BITS wide."""
 
     __slots__ = ("n", "packed")
-
-    def __init__(self, n: int, packed: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "packed", packed)
 
     @property
     def counts(self) -> dict[int, int]:
@@ -214,15 +207,10 @@ def floor_kth_root(x: int, k: int) -> int:
     """Largest integer r with r**k <= x.
 
     An even k is halved with ``math.isqrt``, as floor(floor(x^(1/a))^(1/b))
-    = floor(x^(1/ab)). An odd k climbs a precision ladder. The exact floor
-    root of x >> k*s is floor(x^(1/k) / 2^s), so one level's root plus one,
-    shifted left by the drop in s, is a strict upper bound on the next
-    level's root. Each level's root is about twice as wide as the last
-    one's: at most _SEED_BITS bits at the coarsest, the full root at s = 0.
-    The coarsest level starts from a float log2 estimate nudged above its
-    root. Every level runs integer Newton from above, which a seed that
-    close finishes in two or three steps, and checks r**k <= y < (r + 1)**k
-    on its own y = x >> k*s.
+    = floor(x^(1/ab)). An odd k starts from a float log2 estimate of the
+    root nudged above it: its 53-bit mantissa, shifted into place, plus 1.
+    Integer Newton from above then converges quadratically, and the result
+    is checked against r**k <= x < (r + 1)**k.
     """
     if x < 0 or k < 1:
         raise ValueError("x must be >= 0 and k >= 1")
@@ -230,32 +218,21 @@ def floor_kth_root(x: int, k: int) -> int:
         x, k = math.isqrt(x), k // 2
     if x < 2 or k == 1:
         return x
-    bits = (x.bit_length() - 1) // k + 1  # the root is below 2^bits
-    widths = [bits]  # root widths, finest first: level b roots x >> k * (bits - b)
-    while widths[-1] > _SEED_BITS:
-        widths.append((widths[-1] + 1) // 2)
-    width = widths.pop()
-    y = x >> k * (bits - width)
-    yb = y.bit_length()
-    log2y = (yb - 64 if yb > 64 else 0) + math.log2(y >> max(0, yb - 64))
-    seed = math.ldexp(2.0 ** ((log2y / k) % 1.0) * (1.0 + 1e-9), int(log2y / k))
-    r = max(int(seed) + 1, 2)
+    xb = x.bit_length()
+    e = ((xb - 64 if xb > 64 else 0) + math.log2(x >> max(0, xb - 64))) / k
+    mantissa = int(math.ldexp(2.0 ** (e % 1.0) * (1.0 + 1e-9), 52))
+    shift = int(e) - 52
+    r = (mantissa << shift if shift >= 0 else mantissa >> -shift) + 1
     while True:
-        while True:
-            nr = ((k - 1) * r + y // r ** (k - 1)) // k
-            if nr >= r:
-                break
-            r = nr
-        while r ** k > y:
-            r -= 1
-        while (r + 1) ** k <= y:
-            r += 1
-        if not widths:
-            return r
-        finer = widths.pop()
-        r = (r + 1) << (finer - width)
-        width = finer
-        y = x >> k * (bits - width)
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            break
+        r = nr
+    while r ** k > x:
+        r -= 1
+    while (r + 1) ** k <= x:
+        r += 1
+    return r
 
 
 @lru_cache(maxsize=None)
@@ -329,14 +306,6 @@ class TailEstimate(Record):
     """Monte Carlo estimate of the probability that gamma <= n."""
 
     __slots__ = ("n", "samples", "seed", "estimate", "standard_error")
-
-    def __init__(self, n: int, samples: int, seed: int, estimate: float,
-                 standard_error: float) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "estimate", estimate)
-        object.__setattr__(self, "standard_error", standard_error)
 
 
 @lru_cache(maxsize=1)

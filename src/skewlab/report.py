@@ -157,13 +157,6 @@ class SandwichReport(Record):
 
     __slots__ = ("n", "construction_size", "exact_size", "upper_bound")
 
-    def __init__(self, n: int, construction_size: int, exact_size: int,
-                 upper_bound: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "construction_size", construction_size)
-        object.__setattr__(self, "exact_size", exact_size)
-        object.__setattr__(self, "upper_bound", upper_bound)
-
     @property
     def ok(self) -> bool:
         return self.construction_size <= self.exact_size <= self.upper_bound

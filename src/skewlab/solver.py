@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 import time
@@ -64,11 +63,6 @@ class ExtremalResult(Record):
     branch-and-bound engine."""
 
     __slots__ = ("size", "witness", "elapsed_ms")
-
-    def __init__(self, size: int, witness: list, elapsed_ms: float = 0.0) -> None:
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
 def _greedy_clique(rows: Sequence[int], cand: int, need: int) -> int:
@@ -473,25 +467,3 @@ def exact_attractive(f_graph: Graph, g_graph: Graph, n: int) -> ExtremalResult:
         raise ValueError(f"|V(g)|^n = {count} exceeds the cap of {MAX_ELEMENTS}")
     maps = list(itertools.product(range(g_graph.vertex_count), repeat=n))
     return _relabel(_timed_family(_unrelated_mappings, f_graph, g_graph, n), maps.__getitem__)
-
-
-def witness_descriptor(item: object) -> object:
-    """JSON-friendly form of one witness entry."""
-    if isinstance(item, BitString):
-        return str(item)
-    if isinstance(item, tuple):
-        return list(item)
-    return item
-
-
-def result_to_json(result: ExtremalResult, include_elapsed: bool = True) -> str:
-    """Serialize a result with sorted keys; witness entries become literals
-    (strings) or index lists."""
-    payload: dict[str, object] = {
-        "size": result.size,
-        "witness": [witness_descriptor(w) for w in result.witness],
-        "method": "branch-and-bound",
-    }
-    if include_elapsed:
-        payload["elapsed_ms"] = result.elapsed_ms
-    return json.dumps(payload, sort_keys=True)

@@ -22,7 +22,7 @@ neighbours are read off the masks. The paths come from
 last round gives it the Koenig cover of the unrelated graph.
 
 Strings stay the integer masks of ``fibonacci_masks`` throughout; only the
-returned witnesses and chains become ``BitString``s.
+members of a returned witness become ``BitString``s.
 """
 
 from __future__ import annotations
@@ -131,11 +131,6 @@ class AntichainResult(Record):
 
     __slots__ = ("n", "size", "witness")
 
-    def __init__(self, n: int, size: int, witness: tuple[BitString, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "witness", witness)
-
 
 def _verify_antichain(bits: list[int]) -> None:
     """Raise unless the members are distinct and share one weight. That makes
@@ -168,18 +163,6 @@ class ProjectionReport(Record):
 
     __slots__ = ("n", "antichain_size", "fib_prev", "fib_n", "antichain_fits_prev",
                  "ratio_bound_holds", "projections_distinct", "projections_valid")
-
-    def __init__(self, n: int, antichain_size: int, fib_prev: int, fib_n: int,
-                 antichain_fits_prev: bool, ratio_bound_holds: bool,
-                 projections_distinct: bool, projections_valid: bool) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "antichain_size", antichain_size)
-        object.__setattr__(self, "fib_prev", fib_prev)
-        object.__setattr__(self, "fib_n", fib_n)
-        object.__setattr__(self, "antichain_fits_prev", antichain_fits_prev)
-        object.__setattr__(self, "ratio_bound_holds", ratio_bound_holds)
-        object.__setattr__(self, "projections_distinct", projections_distinct)
-        object.__setattr__(self, "projections_valid", projections_valid)
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,6 @@ from skewlab import counting
 from skewlab.counting import (
     _LANE_BITS,
     _LANES,
-    _SEED_BITS,
     _SLOT_BITS,
     _SLOT_BYTES,
     _SLOT_SUM,
@@ -260,10 +259,11 @@ def floor_root_by_bisection(x: int, k: int) -> int:
 def root_boundary_cases(k: int) -> set[int]:
     """x < 2, m^k - 1, m^k and m^k + 1, and 2^e - 1 and 2^e + 1, up to 8,000
     bits. The widths of m and of the root of 2^e sit on both sides of every
-    _SEED_BITS * 2^j, where the ladder gains a rung."""
-    widths = {1, 2, 3}
+    32 * 2^j, and run through 50-56, where the shift that places the seed's
+    53-bit mantissa changes sign."""
+    widths = {1, 2, 3} | set(range(50, 57))
     for j in range(7):
-        widths |= {(_SEED_BITS << j) - 1, _SEED_BITS << j, (_SEED_BITS << j) + 1}
+        widths |= {(32 << j) - 1, 32 << j, (32 << j) + 1}
     cases = {0, 1}
     for w in widths:
         if w * k + 1 <= 8000:
@@ -275,8 +275,8 @@ def root_boundary_cases(k: int) -> set[int]:
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 25, 50, 100, 1000])
 def test_floor_kth_root_matches_bisection(k):
-    # even k goes through isqrt first; the odd parts 3, 5, 7, 25 and 125 climb
-    # ladders of one to eight levels here
+    # even k goes through isqrt first; the odd parts 3, 5, 7, 25 and 125 run
+    # Newton from the float seed
     for x in sorted(root_boundary_cases(k)):
         assert floor_kth_root(x, k) == floor_root_by_bisection(x, k), (x.bit_length(), k)
 

@@ -1,8 +1,9 @@
 """Structural properties of the ``skewlab`` sources, read from their syntax
 trees: stdlib-only imports without ``dataclasses``, an acyclic import graph
 between the package's modules, no function that calls itself, no
-definition that nothing reads, and no definition that only tests read,
-beyond a short list of public names."""
+definition that nothing reads, no definition that only tests read,
+beyond a short list of public names, and no record constructor that only
+stores its fields."""
 
 import ast
 import subprocess
@@ -69,6 +70,28 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def storing_only_record_inits(tree: ast.Module) -> list[str]:
+    """``Record`` subclasses whose own ``__init__`` raises nothing: storing
+    the fields is ``Record.__init__``'s job, so a hand-written one exists
+    only to validate."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "Record" for base in node.bases)
+            for init in node.body
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            and not any(isinstance(n, ast.Raise) for n in ast.walk(init))]
+
+
+def test_record_inits_only_validate():
+    assert storing_only_record_inits(ast.parse(
+        "class A(Record):\n    def __init__(self, x):\n        self.x = x\n"
+        "class B(Record):\n    def __init__(self, x):\n        if x < 0:\n"
+        "            raise ValueError\n"
+        "class C:\n    def __init__(self, x):\n        self.x = x\n")) == ["A"]
+    assert {name: found for name, tree in parsed_modules().items()
+            if (found := storing_only_record_inits(tree))} == {}
 
 
 def test_internal_import_graph_is_acyclic():

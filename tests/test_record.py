@@ -79,11 +79,25 @@ def test_record_contract(record):
         assert type(clone) is cls and clone == record
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    ((1, [0], 0.0, 9), {}),  # too many positional fields
+    ((1, [0]), {}),  # elapsed_ms missing
+    ((1, [0], 0.0), {"size": 1}),  # size given twice
+    ((1, [0], 0.0), {"stats": None}),  # unknown keyword
+    ((), {"size": 1, "witness": [0], "elapsed": 0.0}),  # unknown in place of a missing one
+])
+def test_record_constructor_takes_each_field_once(args, kwargs):
+    with pytest.raises(TypeError) as info:
+        ExtremalResult(*args, **kwargs)
+    assert str(info.value) == ("ExtremalResult takes the fields (size, witness, elapsed_ms), "
+                               "each once, by position or keyword")
+
+
 def test_records_with_one_field_changed_differ():
     assert BitString(3, 5) != BitString(3, 4) and BitString(3, 5) != BitString(4, 5)
     result = exact_M(2)
     assert result != ExtremalResult(result.size, result.witness[::-1], result.elapsed_ms)
-    assert ExtremalResult(1, [0]) == ExtremalResult(1, [0], 0.0)
+    assert ExtremalResult(1, witness=[0], elapsed_ms=0.0) == ExtremalResult(1, [0], 0.0)
 
 
 @pytest.mark.parametrize("build, message", [

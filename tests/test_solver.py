@@ -13,7 +13,8 @@ from skewlab.bitstring import Family, influence_bits, skewincident, skewincident
 from skewlab.constructions import verify_pairwise_skewincident
 from skewlab.counting import fibonacci_count
 from skewlab.graphs import Graph, all_loops, complete_multipartite, path, skew_alphabet
-from skewlab.solver import exact_M, exact_MG, exact_attractive, multipartite_M, result_to_json
+from skewlab.cli import main
+from skewlab.solver import exact_M, exact_MG, exact_attractive, multipartite_M
 from skewlab.report import sandwich_check
 from oracles import CliqueInstance, enumerate_max_clique, instance_from_relation, max_clique
 from tables import ATTRACTIVE_WITNESS_SHA256, MAX_FAMILY, MAX_FAMILY_WITNESS_3
@@ -821,14 +822,17 @@ def test_sandwich_reports():
         sandwich_check(9)
 
 
-def test_result_serialization():
-    res = exact_M(3)
-    payload = json.loads(result_to_json(res))
-    assert payload["size"] == 5
-    assert payload["method"] == "branch-and-bound"
-    assert set(payload["witness"]) == MAX_FAMILY_WITNESS_3
-    assert "elapsed_ms" in payload
-    bare = json.loads(result_to_json(res, include_elapsed=False))
+def test_result_serialization(capsys):
+    def payload(*argv: str) -> dict:
+        assert main(list(argv) + ["--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    timed = payload("exact-m", "--n", "3", "--timing")
+    assert timed["size"] == 5
+    assert timed["method"] == "branch-and-bound"
+    assert set(timed["witness"]) == MAX_FAMILY_WITNESS_3
+    assert "elapsed_ms" in timed
+    bare = payload("exact-m", "--n", "3")
     assert "elapsed_ms" not in bare
-    sub = json.loads(result_to_json(exact_MG(path(2))))
+    sub = payload("graph-m", "--graph", "path:2")
     assert all(isinstance(w, list) for w in sub["witness"])

@@ -184,9 +184,10 @@ def _cmd_attractive(args: argparse.Namespace) -> int:
 
 
 def _cmd_sperner(args: argparse.Namespace) -> int:
-    if args.witness:
-        result = sperner.max_antichain(args.n)
-        _emit(args, "".join(str(w) + "\n" for w in result.witness))
+    if args.witness:  # written as ``construct`` writes
+        literals = [str(w) for w in sperner.max_antichain(args.n).witness]
+        _emit(args, json.dumps(literals) + "\n" if args.fmt == "json"
+              else "".join(w + "\n" for w in literals))
         return 0
     lo, hi = args.n_range if args.n_range else (args.n, args.n)
     sizes = sperner.antichain_sizes(lo, hi)  # first, so that both ends are checked against the cap
@@ -320,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int)
     group.add_argument("--n-range", type=_parse_range, dest="n_range")
     p.add_argument("--witness", action="store_true",
-                   help="emit a maximum antichain for --n instead of the table")
+                   help="emit a maximum antichain for --n instead of the table "
+                        "(lines, or a JSON array with --format json)")
 
     p = add("montecarlo", _cmd_montecarlo,
             help="seeded tail estimate vs the exact value; exit 1 outside 3 sigma")

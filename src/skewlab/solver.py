@@ -46,12 +46,16 @@ MAX_SUBSET_VERTICES = 12
 EXACT_M_DEFAULT_CAP = 8
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of a nonnegative mask, ascending."""
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative mask, as an ascending list, walked from
+    the top: clearing the top bit shrinks the mask and needs no full-width negation."""
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
 
 
 def _union(bitsets: Iterable[int]) -> int:
@@ -208,17 +212,22 @@ def _unrelated_mappings(f_graph: Graph, g_graph: Graph,
         groups.setdefault(f, []).append(a)
     own = [not c & f for c, f in zip(codes, forbid)]  # a lies in its own product
     degree = {f: len(offsets(f & split, high)) * len(offsets(f & ~split, low)) for f in groups}
-    order = sorted(range(len(forbid)), key=lambda a: (degree[forbid[a]] - own[a], a))
+    order = sorted(range(len(forbid)), key=lambda a: degree[forbid[a]] - own[a])  # ties by index
     pos = sorted(range(len(forbid)), key=order.__getitem__)  # the inverse permutation
 
     @functools.cache
     def part(h: int, fl: int) -> int:
         """The labels of the mappings at high offset h whose low half is free in fl."""
-        return _union(1 << pos[h + l] for l in offsets(fl, low))
+        out = 0
+        for l in offsets(fl, low):
+            out |= 1 << pos[h + l]
+        return out
 
     rows = [0] * len(forbid)
     for f, members in groups.items():
-        row = _union(part(h, f & ~split) for h in offsets(f & split, high))
+        row, fl = 0, f & ~split
+        for h in offsets(f & split, high):
+            row |= part(h, fl)
         for a in members:
             rows[pos[a]] = row ^ own[a] << pos[a]
     kept = [not own[a] or not raises[a] & ~forbid[a] for a in order]
@@ -277,13 +286,19 @@ def _cover_family(rows: Sequence[int], kept: Sequence[bool]) -> int:
     largest family inside the half-integral kernel are optimal; half the
     kernel bounds that family, which stops its search.
     """
-    keep = _union(1 << v for v, k in enumerate(kept) if k)
+    keep = 0
+    for v in itertools.compress(range(len(kept)), kept):
+        keep |= 1 << v
     mate: dict[int, int] = {}
     _, reached = max_matching([u for u, row in enumerate(rows) if kept[u] and row],
                               _row_neighbours(rows, keep), mate)
     full = (1 << len(rows)) - 1
-    left = full & ~_union(1 << mate[v] for v in mate.keys() - reached)  # the reached left copies
-    right = _union(1 << v for v in reached)
+    unreached = right = 0
+    for v in mate.keys() - reached:
+        unreached |= 1 << mate[v]
+    for v in reached:
+        right |= 1 << v
+    left = full ^ unreached  # the reached left copies
     zero = left & ~right & keep
     kernel = full & ~(left ^ right)
     half = kernel.bit_count() // 2
@@ -348,7 +363,7 @@ def _family(pos: Sequence[int], rows: Sequence[int],
         hit = rows[v] & p  # what committing x drops with it
         cand = p ^ hit ^ 1 << v
         need = size - len(witness) - 1
-        dropped = [v, *_bits(hit)]
+        dropped = [v, *_bits(hit)] if hit else [v]
         emptied = 0
         for w in dropped:
             live[colour[w]] -= 1
@@ -372,10 +387,12 @@ def _family(pos: Sequence[int], rows: Sequence[int],
         witness.append(x)
         p = cand
         live_classes -= emptied
-    wmask = _union(1 << pos[x] for x in witness)
+    wmask = 0
+    for x in witness:
+        wmask |= 1 << pos[x]
     if len(witness) != size or any(rows[pos[x]] & wmask for x in witness):
         raise AssertionError(f"witness of {len(witness)} is not a family of {size}")
-    for members in classes:
+    for members in filter(lambda c: c & c - 1, classes):  # one vertex is always a clique
         if any((rows[v] | 1 << v) & members != members for v in _bits(members)):
             raise AssertionError("a greedy class is not a clique of H")
     return size, witness

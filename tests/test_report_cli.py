@@ -3,13 +3,14 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from skewlab import cli, report
+from skewlab import cli, constructions, counting, report, solver, sperner
 from skewlab.cli import main
 from skewlab.report import (
     Table,
@@ -257,6 +258,54 @@ def test_cli_sperner(capsys):
     code, out = run_cli(capsys, "sperner", "--n", "3", "--witness")
     assert code == 0
     assert out == "001\n010\n100\n"
+
+
+def test_cli_sperner_witness_follows_the_format(capsys):
+    """A JSON array of the witness strings under --format json, as ``construct``
+    writes; one string per line under the other formats."""
+    code, out = run_cli(capsys, "sperner", "--n", "20", "--witness", "--format", "json")
+    assert code == 0 and out.endswith("]\n")
+    witness = json.loads(out)
+    assert len(witness) == ANTICHAIN_MAX[20] and len(set(witness)) == len(witness)
+    for fmt in ("csv", "markdown"):
+        assert run_cli(capsys, "sperner", "--n", "20", "--witness", "--format", fmt) == (
+            0, "".join(w + "\n" for w in witness)), fmt
+
+
+CAPPED_ARGUMENTS = [  # (argv, the bound its message names, or None)
+    (["montecarlo", "--n", "0"], counting.MAX_SAMPLING_LENGTH),
+    (["montecarlo", "--n", str(counting.MAX_SAMPLING_LENGTH + 1)], counting.MAX_SAMPLING_LENGTH),
+    (["montecarlo", "--n", "10", "--samples", "0"], None),
+    (["gamma-dist", "--n", str(counting.MAX_DP_LENGTH + 1)], counting.MAX_DP_LENGTH),
+    (["crossover", "--max-n", str(counting.MAX_DP_LENGTH + 1)], counting.MAX_DP_LENGTH),
+    (["construct", "--n", "0"], constructions.MAX_ENUMERATION_LENGTH),
+    (["construct", "--n", str(constructions.MAX_ENUMERATION_LENGTH + 1)],
+     constructions.MAX_ENUMERATION_LENGTH),
+    (["verify", "--n", str(constructions.MAX_ENUMERATION_LENGTH + 1)],
+     constructions.MAX_ENUMERATION_LENGTH),
+    (["verify", "--check", "sandwich", "--n", str(solver.EXACT_M_DEFAULT_CAP + 1)],
+     solver.EXACT_M_DEFAULT_CAP),
+    (["verify", "--check", "projection", "--n", "1"], sperner.MAX_POSET_LENGTH),
+    (["verify", "--check", "projection", "--n", str(sperner.MAX_POSET_LENGTH + 1)],
+     sperner.MAX_POSET_LENGTH),
+    (["exact-m", "--n", str(solver.MAX_SUBSET_VERTICES + 1), "--override-cap"],
+     solver.MAX_SUBSET_VERTICES),
+    (["attractive", "--alphabet-graph", "path:3",  # the fewest positions with 3^n past the cap
+      "--n", str(next(n for n in itertools.count(1) if 3 ** n > solver.MAX_ELEMENTS))],
+     solver.MAX_ELEMENTS),
+    (["attractive", "--n", "3", "--position-graph", "path:2"], None),
+]
+
+
+@pytest.mark.parametrize("argv, bound", CAPPED_ARGUMENTS,
+                         ids=[" ".join(argv) for argv, _ in CAPPED_ARGUMENTS])
+def test_cli_caps_exit_2_with_one_error_line(capsys, argv, bound):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("skewlab: error: ")  # one line, a message with no traceback
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert bound is None or str(bound) in captured.err
 
 
 def test_cli_montecarlo(capsys):

@@ -255,6 +255,65 @@ def complement_rows(instance: CliqueInstance) -> list[int]:
     return [everything & ~(row | 1 << i) for i, row in enumerate(instance.rows)]
 
 
+def test_bits_is_an_ascending_list():
+    """``_bits`` against a plain scan of the bit positions on 0, on single
+    bits and on random sparse and dense masks of up to 4,096 bits."""
+    rng = random.Random(27)
+    masks = [0] + [1 << i for i in (0, 1, 29, 30, 63, 64, 4095)]
+    for _ in range(200):
+        width = rng.randint(1, 4096)
+        masks.append(rng.getrandbits(width))
+        sparse = rng.sample(range(width), rng.randint(0, min(width, 100)))
+        masks.append(sum(1 << i for i in sparse))
+    for mask in masks:
+        found = solver._bits(mask)
+        assert type(found) is list
+        assert found == [i for i in range(mask.bit_length()) if mask >> i & 1], mask
+
+
+def test_family_check_reads_a_merged_root_class(monkeypatch):
+    """The closing self-check skips one-member classes, which are cliques, but
+    still reads a class merged from two of them: two one-member root classes
+    are never H-adjacent, or the greedy cover would have grown the first into
+    the second."""
+    h = subset_graph(path(6))
+    cover = solver._clique_cover
+
+    def merged(rows, rest):
+        classes = cover(rows, rest)
+        if rest == (1 << len(rows)) - 1:  # the root cover
+            a, b = [c for c in classes if c.bit_count() == 1][:2]
+            classes = [c for c in classes if c not in (a, b)] + [a | b]
+        return classes
+
+    monkeypatch.setattr(solver, "_clique_cover", merged)
+    with pytest.raises(AssertionError, match="not a clique of H"):
+        solver._family(*h)
+
+
+def test_family_check_reads_a_swapped_witness_member():
+    """The pass keeps its witness a family by construction, so the swap is
+    made under it: from its second read on, ``pos`` gives the witness's first
+    member the label of an H-neighbour of its second, and the closing check,
+    which rereads the witness, refuses it."""
+    pos, rows, kept = subset_graph(path(6))
+    first, second = solver._family(pos, rows, kept)[1][:2]
+    neighbour = rows[pos[second]].bit_length() - 1
+
+    class Swapped(list):
+        reads = 0
+
+        def __getitem__(self, x):
+            if x == first:
+                self.reads += 1
+                if self.reads > 1:
+                    return neighbour
+            return super().__getitem__(x)
+
+    with pytest.raises(AssertionError, match="is not a family"):
+        solver._family(Swapped(pos), rows, kept)
+
+
 def test_exact_M_relation_is_skewincidence():
     """exact_M builds no relation; H, which it searches, is its complement."""
     for n in range(1, 9):

@@ -15,7 +15,6 @@ import sys
 from collections.abc import Callable
 
 from . import constructions, counting, graphs, report, solver, sperner
-from .counting import CrossoverNotFoundError
 from .report import Table, render
 
 
@@ -232,7 +231,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 def _cmd_crossover(args: argparse.Namespace) -> int:
     try:
         n_star = counting.crossover_scan(args.max_n)
-    except CrossoverNotFoundError as exc:
+    except counting.CrossoverNotFoundError as exc:
         _emit(args, f"no crossover: {exc}\n")
         return 1
     _emit_table(args, Table(("max_n", "crossover_n"), ((args.max_n, n_star),)))

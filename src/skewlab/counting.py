@@ -37,7 +37,6 @@ MAX_SAMPLING_LENGTH = 64
 # a whole number of bytes, so counts decode by slicing ``to_bytes``.
 _SLOT_BYTES = MAX_DP_LENGTH // 8 + 1
 _SLOT_BITS = 8 * _SLOT_BYTES
-_SLOT_SUM = (1 << _SLOT_BITS) - 1  # each slot's weight is 1 modulo this: a residue adds them
 # The tail kernel trims its window once per this many steps.
 _TRIM_STEPS = 16
 

@@ -14,17 +14,9 @@ import csv
 import io
 import json
 
-from .counting import (
-    MAX_DP_LENGTH,
-    ceil_pow2_upto,
-    count_C,
-    fibonacci_count,
-    floor_pow2_upto,
-    tail_counts_upto,
-)
+from . import counting, sperner
 from .record import Record
 from .solver import EXACT_M_DEFAULT_CAP, exact_M
-from .sperner import MAX_POSET_LENGTH, antichain_sizes, max_antichain
 
 FORMATS = ("csv", "json", "markdown")
 
@@ -108,15 +100,15 @@ def theorem_table(max_n: int) -> Table:
         "bound_0_69",
         "upper_ok",
     )
-    if not 1 <= max_n <= MAX_DP_LENGTH:
-        raise ValueError(f"max_n must be in [1, {MAX_DP_LENGTH}], got {max_n}")
-    antichain = antichain_sizes(1, min(max_n, MAX_POSET_LENGTH))
-    bounds = zip(floor_pow2_upto(24, 25, max_n), ceil_pow2_upto(69, 100, max_n))
+    if not 1 <= max_n <= counting.MAX_DP_LENGTH:
+        raise ValueError(f"max_n must be in [1, {counting.MAX_DP_LENGTH}], got {max_n}")
+    antichain = sperner.antichain_sizes(1, min(max_n, sperner.MAX_POSET_LENGTH))
+    bounds = zip(counting.floor_pow2_upto(24, 25, max_n), counting.ceil_pow2_upto(69, 100, max_n))
     rows = []
-    for n, (tail, (b96, b69)) in enumerate(zip(tail_counts_upto(max_n), bounds), 1):
+    for n, (tail, (b96, b69)) in enumerate(zip(counting.tail_counts_upto(max_n), bounds), 1):
         outside = (1 << n) - tail
         if n <= len(antichain):
-            deficit = fibonacci_count(n) - antichain[n - 1]
+            deficit = counting.fibonacci_count(n) - antichain[n - 1]
             upper_ok: bool | None = deficit >= b69
         else:
             deficit = None
@@ -130,7 +122,7 @@ def summary_table(n_lo: int, n_hi: int) -> Table:
     construction size, exact family maximum where computed, and the
     antichain-complement upper bound."""
     if n_lo < 1:
-        raise ValueError(f"n must be in [1, {MAX_DP_LENGTH}], got {n_lo}")
+        raise ValueError(f"n must be in [1, {counting.MAX_DP_LENGTH}], got {n_lo}")
     if n_lo > n_hi:
         raise ValueError(f"bad range [{n_lo}, {n_hi}]")
     columns = (
@@ -141,10 +133,10 @@ def summary_table(n_lo: int, n_hi: int) -> Table:
         "exact_max",
         "upper_bound",
     )
-    antichain = antichain_sizes(n_lo, min(n_hi, MAX_POSET_LENGTH))
+    antichain = sperner.antichain_sizes(n_lo, min(n_hi, sperner.MAX_POSET_LENGTH))
     rows = []
-    for n, c_n in enumerate(tail_counts_upto(n_hi)[n_lo - 1:], n_lo):
-        fib = fibonacci_count(n)
+    for n, c_n in enumerate(counting.tail_counts_upto(n_hi)[n_lo - 1:], n_lo):
+        fib = counting.fibonacci_count(n)
         m_n = antichain[n - n_lo] if n - n_lo < len(antichain) else None
         exact = exact_M(n).size if n <= EXACT_M_DEFAULT_CAP else None
         upper = (1 << n) - (fib - m_n) if m_n is not None else None
@@ -167,7 +159,7 @@ def sandwich_check(n: int) -> SandwichReport:
     antichain-complement bound 2^n - (f_n - m_n)."""
     if not 1 <= n <= EXACT_M_DEFAULT_CAP:
         raise ValueError(f"n must be in [1, {EXACT_M_DEFAULT_CAP}], got {n}")
-    lower = count_C(n)
+    lower = counting.count_C(n)
     exact = exact_M(n).size
-    upper = (1 << n) - (fibonacci_count(n) - max_antichain(n).size)
+    upper = (1 << n) - (counting.fibonacci_count(n) - sperner.max_antichain(n).size)
     return SandwichReport(n, lower, exact, upper)

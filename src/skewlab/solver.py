@@ -430,7 +430,7 @@ def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
     """
     cap = MAX_SUBSET_VERTICES if override_cap else EXACT_M_DEFAULT_CAP
     if not 1 <= n <= cap:
-        hint = "" if override_cap else (
+        hint = "" if override_cap or n < 1 else (
             f" (pass override_cap=True or --override-cap for n up to {MAX_SUBSET_VERTICES})"
         )
         raise ValueError(f"n must be in [1, {cap}], got {n}{hint}")

@@ -29,7 +29,6 @@ from skewlab.counting import (
     _LANES,
     _SLOT_BITS,
     _SLOT_BYTES,
-    _SLOT_SUM,
     _lanes_above,
     _slot_sum,
 )
@@ -44,6 +43,9 @@ from tables import (
     SPLITMIX64_SEED0,
     TAIL,
 )
+
+# Each slot's weight is 1 modulo this, so a residue adds the slots.
+_SLOT_SUM = (1 << _SLOT_BITS) - 1
 
 
 def gamma_histogram_brute(n: int) -> dict[int, int]:

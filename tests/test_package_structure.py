@@ -61,15 +61,49 @@ def test_no_module_imports_dataclasses():
             if "dataclasses" in absolute_imports(tree)] == []
 
 
+def run_fresh(code: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``code`` in a fresh interpreter without
+    site packages that imports ``skewlab`` from the sources. ``-I`` ignores
+    PYTHONDONTWRITEBYTECODE, so ``-B`` keeps bytecode out of the sources."""
+    code = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r})\n" + code
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     """In a fresh interpreter without site packages, importing the command
     line loads none of these modules: annotations are never evaluated, so
-    their names come from ``collections.abc``, not ``typing``."""
-    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import skewlab.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                          capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    their names come from ``collections.abc``, not ``typing``, and
+    ``counting``, which needs ``fractions`` and ``decimal``, runs on first use."""
+    assert run_fresh(
+        "import skewlab.cli\n"
+        "print(sorted({'dataclasses', 'decimal', 'fractions', 'inspect', 'typing'}"
+        " & set(sys.modules)))") == (0, "[]\n", "")
+
+
+def test_lazy_modules_run_on_first_use():
+    """``constructions``, ``counting`` and ``sperner`` are in ``sys.modules``
+    from the package import on, but run only when first read: a solver
+    command runs none of them, ``gamma-dist`` runs ``counting`` alone, and
+    ``vars()`` runs a module, as the bench tracer's does. Every name in
+    ``skewlab.__all__`` is its defining module's object."""
+    assert run_fresh("""
+import os, types
+import skewlab, skewlab.cli
+lazy = ("skewlab.constructions", "skewlab.counting", "skewlab.sperner")
+def ran():
+    return [type(sys.modules[name]) is types.ModuleType for name in lazy]
+skewlab.cli.main(["exact-m", "--n", "3", "--out", os.devnull])
+print(ran())
+skewlab.cli.main(["gamma-dist", "--n", "3", "--out", os.devnull])
+print(ran())
+print("enumerate_C" in vars(sys.modules["skewlab.constructions"]), ran())
+found = {name: getattr(skewlab, name) for name in skewlab.__all__}
+print(len(found), all(vars(sys.modules[obj.__module__])[name] is obj
+                      for name, obj in found.items()))
+""") == (0, "[False, False, False]\n[False, True, False]\nTrue [True, True, False]\n"
+            "36 True\n", "")
 
 
 def storing_only_record_inits(tree: ast.Module) -> list[str]:
@@ -172,14 +206,28 @@ def unreferenced_definitions(defined: dict[str, ast.Module],
             if node.name not in named]
 
 
+def private_definitions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """Private (a leading underscore) definitions of ``tree`` and names bound
+    by its module-level assignments, dunders excepted, each with its node."""
+    for node in definitions(tree):
+        if node.name.startswith("_"):
+            yield node.name, node
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if (isinstance(target, ast.Name) and target.id.startswith("_")
+                    and not target.id.endswith("__")):
+                yield target.id, node
+
+
 def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
-    """Private definitions of ``trees`` (a leading underscore) that the trees
-    mention only inside the definition itself."""
+    """Private definitions of ``trees`` that the trees mention only inside
+    the definition itself."""
     total = Counter(name for tree in trees.values() for name in mentions(tree))
-    return [f"{module}:{node.lineno} {node.name}"
-            for module, tree in trees.items() for node in definitions(tree)
-            if node.name.startswith("_")
-            and Counter(mentions(node))[node.name] == total[node.name]]
+    return [f"{module}:{node.lineno} {name}"
+            for module, tree in trees.items() for name, node in private_definitions(tree)
+            if Counter(mentions(node))[name] == total[name]]
 
 
 def test_every_definition_is_referenced():
@@ -203,6 +251,10 @@ def test_every_private_definition_is_read_by_the_package():
         "class _K:\n    def __len__(self):\n        return 0\n"
         "    def _helper(self):\n        return _used()\n"
         "x = _K()\n")}) == ["m:3 _self_only", "m:8 _helper"]
+    assert unreferenced_private_definitions({"m": ast.parse(
+        "_READ = 1\n_DEAD = (1 << _READ) - 1\n_TYPED: int = _READ\n"
+        "__version__ = '0'\ndef f():\n    _local = 2\n    return _local\n")}) == [
+        "m:2 _DEAD", "m:3 _TYPED"]
     assert unreferenced_private_definitions(parsed_modules()) == []
 
 

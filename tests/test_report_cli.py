@@ -107,7 +107,7 @@ def test_tables_stream_the_sweep(monkeypatch):
     # the tables read C(n) from the tail kernel, which holds one window of
     # totals and no distribution; the antichain and exact-maximum columns
     # are slow and hold neither, so the traced calls leave them out
-    monkeypatch.setattr(report, "MAX_POSET_LENGTH", 0)
+    monkeypatch.setattr(sperner, "MAX_POSET_LENGTH", 0)
     tracemalloc.start()
     try:
         theorem = theorem_table(512)
@@ -437,9 +437,12 @@ def test_cli_graph_m_refuses_past_its_cap_before_building(capsys, monkeypatch):
 
 
 def test_cli_error_messages_name_the_fix(capsys):
-    assert main(["exact-m", "--n", "9"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--override-cap" in captured.err
+    # the override hint only where the override would help: past the default cap
+    for n, hinted in (("9", True), ("0", False), ("-1", False)):
+        assert main(["exact-m", "--n", n]) == 2, n
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"got {n}" in captured.err, n
+        assert ("--override-cap" in captured.err) is hinted, n
     for spec in ("multipartite:", "multipartite:2,x", "path:x"):
         assert main(["graph-m", "--graph", spec]) == 2, spec
         captured = capsys.readouterr()
@@ -488,3 +491,63 @@ def test_cli_range_ends_name_their_cap(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"skewlab: error: {message}\n", argv
+
+
+# Graph files for ``file:PATH`` specs, each malformed in one way.
+GRAPH_FILES = {
+    "count.txt": "three\n0 1\n",
+    "one-token.txt": "3\n0\n",
+    "three-tokens.txt": "3\n0 1 2\n",
+    "out-of-range.txt": "3\n0 3\n",
+    "negative.txt": "3\n-1 0\n",
+    "empty.txt": "",
+}
+
+# Malformed input and who refuses it: "value" for a handler's check, "usage"
+# for argparse. "{tmp}" is a directory that holds GRAPH_FILES.
+MALFORMED = [
+    (["gamma-dist", "--n", "x"], "usage"),
+    (["gamma-dist", "--n", "0"], "value"),
+    (["gamma-dist", "--n", "-1"], "value"),
+    (["sperner", "--n", "0"], "value"),
+    (["construct", "--n", "0"], "value"),
+    (["attractive", "--n", "0"], "value"),
+    *((["graph-m", "--graph", spec], "value")
+      for spec in ("multipartite:", "multipartite:2,,2", "multipartite:0", "path:", "path:0",
+                   "path:1e3", "bogus", "k2:3", "skew-alphabet:1")),
+    (["attractive", "--n", "2", "--alphabet-graph", "edgeless:0"], "value"),
+    (["report", "--n-range", "5..3"], "usage"),
+    (["sperner", "--n-range", "5..3"], "usage"),
+    (["sperner", "--n", "3", "--n-range", "1..2"], "usage"),
+    (["report", "--table", "summary", "--n-range", "1..2", "--max-n", "3"], "usage"),
+    (["report", "--table", "theorem", "--max-n", "0"], "value"),
+    (["crossover", "--max-n", "1"], "value"),
+    (["verify", "--check", "disjointness", "--n", "0"], "value"),
+    (["verify", "--check", "projection", "--n", "1"], "value"),
+    (["verify", "--check", "sandwich", "--n", "0"], "value"),
+    *((["graph-m", "--graph", "file:{tmp}/" + name], "value") for name in GRAPH_FILES),
+    (["graph-m", "--graph", "file:{tmp}"], "value"),
+    (["graph-m", "--graph", "file:{tmp}/missing.txt"], "value"),
+    (["exact-m", "--n", "3", "--out", "{tmp}"], "value"),
+]
+
+
+@pytest.mark.parametrize("argv, kind", MALFORMED, ids=[" ".join(argv) for argv, _ in MALFORMED])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, kind):
+    """Every malformed input exits 2 with empty stdout and no traceback: a
+    handler's refusal as one ``skewlab: error:`` line, an argparse error as
+    the usage and then its ``error:`` line."""
+    for name, text in GRAPH_FILES.items():
+        (tmp_path / name).write_text(text)
+    try:
+        code, raised = main([arg.format(tmp=tmp_path) for arg in argv]), False
+    except SystemExit as exc:
+        code, raised = exc.code, True
+    captured = capsys.readouterr()
+    assert (code, raised, captured.out) == (2, kind == "usage", "")
+    lines = captured.err.splitlines()
+    if kind == "value":
+        assert len(lines) == 1 and lines[0].startswith("skewlab: error: "), captured.err
+    else:
+        assert lines[0].startswith("usage: skewlab ") and ": error: " in lines[-1], captured.err
+    assert "Traceback" not in captured.err

@@ -260,10 +260,99 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_n, hi_n
 
 
+def _gamma_dist_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--construction", choices=("C", "fibonacci"), default="C")
+    p.add_argument("--n", type=int, required=True)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--check", choices=("pairwise", "disjointness", "sandwich", "projection"),
+                   default="pairwise")
+    _construct_args(p)
+
+
+def _exact_m_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--override-cap", action="store_true", dest="override_cap",
+                   help=f"allow n up to {solver.MAX_SUBSET_VERTICES} (you own the cost)")
+
+
+def _graph_m_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", dest="graph_spec", required=True,
+                   help="path:N | multipartite:a,b,... | all-loops:N | "
+                        "edgeless:N | skew-alphabet | k2 | file:PATH")
+
+
+def _attractive_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--position-graph", default="path",
+                   help="generator spec for positions (default path, sized by --n)")
+    p.add_argument("--alphabet-graph", default="skew-alphabet",
+                   help="generator spec for values (default skew-alphabet)")
+    p.add_argument("--n", type=int, required=True)
+
+
+def _sperner_args(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", type=int)
+    group.add_argument("--n-range", type=_parse_range, dest="n_range")
+    p.add_argument("--witness", action="store_true",
+                   help="emit a maximum antichain for --n instead of the table "
+                        "(lines, or a JSON array with --format json)")
+
+
+def _montecarlo_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _crossover_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", type=int, dest="max_n", required=True)
+
+
+def _report_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--table", choices=("summary", "theorem"), dest="table_style",
+                   default="summary")
+    p.add_argument("--n-range", type=_parse_range, dest="n_range",
+                   help="rows for the summary table, e.g. 1..8")
+    p.add_argument("--max-n", type=int, dest="max_n",
+                   help="last row of the theorem table")
+
+
+# name: (handler, help, argument adder), in the order that usage lists them
+_COMMANDS: dict[str, tuple[Callable[..., int], str, Callable[..., None]]] = {
+    "gamma-dist": (_cmd_gamma_dist, "exact distribution of gamma at one n", _gamma_dist_args),
+    "construct": (_cmd_construct,
+                  "emit a named family (lines, or a JSON array with --format json)",
+                  _construct_args),
+    "verify": (_cmd_verify, "run a verification; exit 1 on failure", _verify_args),
+    "exact-m": (_cmd_exact_m, "exact maximum pairwise-skewincident family", _exact_m_args),
+    "graph-m": (_cmd_graph_m, "exact maximum pairwise-neighbor subset family", _graph_m_args),
+    "attractive": (_cmd_attractive, "exact maximum pairwise-attractive mapping family",
+                   _attractive_args),
+    "sperner": (_cmd_sperner, "antichain maxima over no-adjacent-ones strings", _sperner_args),
+    "montecarlo": (_cmd_montecarlo,
+                   "seeded tail estimate vs the exact value; exit 1 outside 3 sigma",
+                   _montecarlo_args),
+    "crossover": (_cmd_crossover, "first n from which 2^n - |C_n| <= 2^(0.96 n) holds on",
+                  _crossover_args),
+    "report": (_cmd_report, "summary or theorem evidence table", _report_args),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first ``main`` call and reused
-    by later ones: every parse starts from a fresh namespace."""
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser with the subparser of ``command`` alone, or
+    of every command when it is None; built on the first ``main`` call for
+    that command and reused by later ones: every parse starts from a fresh
+    namespace. A one-command parser names every command in its usage, so
+    its usage and errors read as the full parser's; only the full parser
+    can list the commands, which no arguments, -h or an unknown command
+    print."""
     parser = argparse.ArgumentParser(
         prog="skewlab",
         description="Exact experiments on skewincident string families.",
@@ -274,77 +363,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--timing", action="store_true",
                         help="include wall-clock fields (breaks byte-identity)")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(command: str, handler: Callable[[argparse.Namespace], int],
-            help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(command, parents=[common], help=help)
+    # the full parser's usage reads the same from its choices; a metavar there would
+    # rename the action in its "required" and "invalid choice" errors
+    names = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else names)
+    for name in _COMMANDS if command is None else [command]:
+        handler, help, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("gamma-dist", _cmd_gamma_dist, help="exact distribution of gamma at one n")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("construct", _cmd_construct,
-            help="emit a named family (lines, or a JSON array with --format json)")
-    p.add_argument("--construction", choices=("C", "fibonacci"), default="C")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("verify", _cmd_verify, help="run a verification; exit 1 on failure")
-    p.add_argument("--check", choices=("pairwise", "disjointness", "sandwich", "projection"),
-                   default="pairwise")
-    p.add_argument("--construction", choices=("C", "fibonacci"), default="C")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("exact-m", _cmd_exact_m, help="exact maximum pairwise-skewincident family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--override-cap", action="store_true", dest="override_cap",
-                   help=f"allow n up to {solver.MAX_SUBSET_VERTICES} (you own the cost)")
-
-    p = add("graph-m", _cmd_graph_m, help="exact maximum pairwise-neighbor subset family")
-    p.add_argument("--graph", dest="graph_spec", required=True,
-                   help="path:N | multipartite:a,b,... | all-loops:N | "
-                        "edgeless:N | skew-alphabet | k2 | file:PATH")
-
-    p = add("attractive", _cmd_attractive,
-            help="exact maximum pairwise-attractive mapping family")
-    p.add_argument("--position-graph", default="path",
-                   help="generator spec for positions (default path, sized by --n)")
-    p.add_argument("--alphabet-graph", default="skew-alphabet",
-                   help="generator spec for values (default skew-alphabet)")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("sperner", _cmd_sperner, help="antichain maxima over no-adjacent-ones strings")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
-    group.add_argument("--n-range", type=_parse_range, dest="n_range")
-    p.add_argument("--witness", action="store_true",
-                   help="emit a maximum antichain for --n instead of the table "
-                        "(lines, or a JSON array with --format json)")
-
-    p = add("montecarlo", _cmd_montecarlo,
-            help="seeded tail estimate vs the exact value; exit 1 outside 3 sigma")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("crossover", _cmd_crossover,
-            help="first n from which 2^n - |C_n| <= 2^(0.96 n) holds on")
-    p.add_argument("--max-n", type=int, dest="max_n", required=True)
-
-    p = add("report", _cmd_report, help="summary or theorem evidence table")
-    p.add_argument("--table", choices=("summary", "theorem"), dest="table_style",
-                   default="summary")
-    p.add_argument("--n-range", type=_parse_range, dest="n_range",
-                   help="rows for the summary table, e.g. 1..8")
-    p.add_argument("--max-n", type=int, dest="max_n",
-                   help="last row of the theorem table")
+        add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
 
     if args.command == "report":

@@ -16,8 +16,9 @@ the product, over positions, of the values that no value at a related
 position is adjacent to, and subset families are mappings into the skew
 alphabet. The size search leaves out every mapping that raising one value
 replaces without loss. The size comes from the vertex-cover LP of H (a
-maximum matching on H's bipartite double cover, whose last round gives the
-Koenig cover, then an exact search of the Nemhauser-Trotter kernel);
+maximum matching on H's bipartite double cover, seeded greedily, whose last
+round gives the Koenig cover, then an exact search of the Nemhauser-Trotter
+kernel);
 greedy cliques of H cover every element and bound any family by their
 number; and the lexicographically first witness is decided step by step by
 counting live classes, repairing a carried optimum, or else an iterative
@@ -29,6 +30,7 @@ serves both this and the Sperner sweep's level matchings.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -278,20 +280,31 @@ def _cover_family(rows: Sequence[int], kept: Sequence[bool]) -> int:
     left-out element (see ``_unrelated_mappings``) ends in an optimum of the
     same size that only has kept elements; for subsets this is the shifting
     lemma, which keeps the subsets meeting N(x) or with x | N(x) everything.
-    The last round of ``max_matching`` on H's double cover, which adds
-    nothing, reaches from the free left copies the right copies in a Koenig
-    cover; a left copy is reached when it is free or its partner is, and is
-    in the cover when it is not. LP value 0 means the left copy is reached
-    and the right one is not. By Nemhauser-Trotter those vertices plus a
-    largest family inside the half-integral kernel are optimal; half the
-    kernel bounds that family, which stops its search.
+    The matching on H's double cover starts from a greedy one, each left
+    copy taking the highest free right copy in its row, and ``max_matching``
+    augments it from the left copies that stay free. Its last round, which
+    adds nothing, reaches from the free left copies the right copies in a
+    Koenig cover; a left copy is reached when it is free or its partner is,
+    and is in the cover when it is not. That reach is the same for every
+    maximum matching (Dulmage-Mendelsohn), so the seed changes none of what
+    follows. LP value 0 means the left copy is reached and the right one is
+    not. By Nemhauser-Trotter those vertices plus a largest family inside
+    the half-integral kernel are optimal; half the kernel bounds that
+    family, which stops its search.
     """
     keep = 0
     for v in itertools.compress(range(len(kept)), kept):
         keep |= 1 << v
-    mate: dict[int, int] = {}
-    _, reached = max_matching([u for u, row in enumerate(rows) if kept[u] and row],
-                              _row_neighbours(rows, keep), mate)
+    mate: dict[int, int] = {}  # seeded: each vertex takes its highest free right copy
+    free, avail = [], keep
+    for u in itertools.compress(range(len(rows)), kept):
+        if rows[u]:
+            if top := (rows[u] & avail).bit_length():
+                avail ^= 1 << top - 1
+                mate[top - 1] = u
+            else:
+                free.append(u)
+    _, reached = max_matching(free, _row_neighbours(rows, keep), mate)
     full = (1 << len(rows)) - 1
     unreached = right = 0
     for v in mate.keys() - reached:
@@ -336,20 +349,34 @@ def _family(pos: Sequence[int], rows: Sequence[int],
     index order whenever a completion to that size still exists. A largest
     family is carried along, with a count of live candidates in each class
     of ``_clique_cover``, the greedy H-clique cover that also bounds the
-    exact search on H's rows. Committing x drops x and its H-neighbours
-    among the candidates. When x is not in the carried family, the
-    completion is refuted if fewer than the needed number of classes stay
-    live, else repaired from the carried family, and only if both fail
-    decided by an exact search.
+    exact search on H's rows; one walk of the classes, before the pass,
+    colours their members and checks that each is an H-clique. Committing x
+    drops x and its H-neighbours among the candidates. When x is not in the
+    carried family, the completion is refuted if fewer than the needed
+    number of classes stay live, else repaired from the carried family, and
+    only if both fail decided by an exact search. The carried family's
+    members lie in distinct classes, and those outside x's H-neighbours keep
+    theirs live, so reading only the carried members that x drops bounds
+    the live classes from both sides, and the reading stops as soon as the
+    upper bound falls short; the dropped candidates are counted class by
+    class only when the bounds straddle the need. The live counts change
+    once, when x is committed or refuted.
     """
     count = len(pos)
     p = (1 << count) - 1  # candidates, in new labels
     classes = _clique_cover(rows, p)
     colour = [0] * count
+    live = [1] * len(classes)  # each class's members among the candidates
     for c, members in enumerate(classes):
-        for v in _bits(members):
+        if not members & members - 1:  # one vertex is always a clique
+            colour[members.bit_length() - 1] = c
+            continue
+        vertices = _bits(members)
+        live[c] = len(vertices)
+        for v in vertices:
             colour[v] = c
-    live = [members.bit_count() for members in classes]
+            if (rows[v] | 1 << v) & members != members:
+                raise AssertionError("a greedy class is not a clique of H")
     live_classes = len(classes)
     known = _cover_family(rows, kept)  # a carried optimum's members beyond the witness
     size = known.bit_count()
@@ -363,38 +390,46 @@ def _family(pos: Sequence[int], rows: Sequence[int],
         hit = rows[v] & p  # what committing x drops with it
         cand = p ^ hit ^ 1 << v
         need = size - len(witness) - 1
-        dropped = [v, *_bits(hit)] if hit else [v]
-        emptied = 0
-        for w in dropped:
-            live[colour[w]] -= 1
-            emptied += live[colour[w]] == 0
         if known >> v & 1:
             known ^= 1 << v
         else:
+            # known's need + 1 members lie in distinct live classes: after x, floor of
+            # those stay live, and at most spare others, the classes without one; a
+            # dropped member's class dies unless it still meets cand, and once more
+            # than spare + 1 have died, x is refuted without reading the rest
+            spare = live_classes - need - 1
+            dead, lost = 0, known & hit
+            while lost and dead <= spare + 1:
+                k = lost.bit_length() - 1
+                lost ^= 1 << k
+                c = colour[k]
+                dead += live[c] == 1 or not classes[c] & cand
+            floor = need + 1 - dead
+            if floor < need <= floor + spare:  # only an exact count decides: floor takes it
+                dropped = collections.Counter(colour[w] for w in (v, *_bits(hit)))
+                floor = live_classes - sum(live[c] == d for c, d in dropped.items())
             completion = None
-            if live_classes - emptied >= need:
+            if floor >= need:
                 completion = _repair(rows, known, hit, cand, need)
                 if completion.bit_count() < need:
                     found = _search(rows, cand, need - 1, need)
                     completion = None if found is None else _union(1 << w for w in found)
             if completion is None:
-                for w in dropped[1:]:
-                    live[colour[w]] += 1
-                live_classes -= live[colour[v]] == 0
+                live[colour[v]] -= 1
+                live_classes -= not live[colour[v]]
                 p ^= 1 << v
                 continue
             known = completion
+        for w in (v, *_bits(hit)):
+            live[colour[w]] -= 1
+            live_classes -= not live[colour[w]]
         witness.append(x)
         p = cand
-        live_classes -= emptied
     wmask = 0
     for x in witness:
         wmask |= 1 << pos[x]
     if len(witness) != size or any(rows[pos[x]] & wmask for x in witness):
         raise AssertionError(f"witness of {len(witness)} is not a family of {size}")
-    for members in filter(lambda c: c & c - 1, classes):  # one vertex is always a clique
-        if any((rows[v] | 1 << v) & members != members for v in _bits(members)):
-            raise AssertionError("a greedy class is not a clique of H")
     return size, witness
 
 

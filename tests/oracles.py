@@ -2,11 +2,12 @@
 
 Each answers, by a simpler method, a question that a ``skewlab`` engine
 answers: dense relation rows complemented into the unrelated graph, and a
-subset scan, for the clique engine, a clique of the
-incomparability relation for the antichain maximum, the chain partition
-behind the Sperner certificate, a greedy maximal extension of a pairwise
-skewincident family, the disjointness argument one pair at a time, and the
-SplitMix64 stream one draw at a time.
+subset scan, for the clique engine, an unseeded matching for its
+vertex-cover LP, a clique of the incomparability relation for the
+antichain maximum, the chain partition behind the Sperner certificate, a
+greedy maximal extension of a pairwise skewincident family, the
+disjointness argument one pair at a time, and the SplitMix64 stream one
+draw at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,17 @@ from skewlab.constructions import (
     verify_pairwise_skewincident,
 )
 from skewlab.record import Record
-from skewlab.solver import MAX_ELEMENTS, ExtremalResult, _bits, _timed_family, _union
+from skewlab.solver import (
+    MAX_ELEMENTS,
+    ExtremalResult,
+    _bits,
+    _greedy_clique,
+    _row_neighbours,
+    _search,
+    _timed_family,
+    _union,
+    max_matching,
+)
 from skewlab.sperner import antichain_sweep
 
 ORACLE_MAX_LENGTH = 10
@@ -102,6 +113,27 @@ def max_clique(instance: CliqueInstance) -> ExtremalResult:
     the second route for the mapping families, whose H the package reads
     off per-position products instead."""
     return _timed_family(complement_graph, instance)
+
+
+def unseeded_cover_family(rows: Sequence[int], kept: Sequence[bool]) -> int:
+    """``_cover_family`` with its matching grown by ``max_matching`` alone,
+    from every kept vertex that has a row, with no greedy seed: the König
+    split that the seeded matching must reproduce."""
+    keep = _union(1 << v for v in range(len(kept)) if kept[v])
+    mate: dict[int, int] = {}
+    _, reached = max_matching([u for u, row in enumerate(rows) if kept[u] and row],
+                              _row_neighbours(rows, keep), mate)
+    full = (1 << len(rows)) - 1
+    left = full ^ _union(1 << mate[v] for v in mate.keys() - reached)  # the reached left copies
+    right = _union(1 << v for v in reached)
+    kernel = full & ~(left ^ right)
+    half = kernel.bit_count() // 2
+    family = _greedy_clique(rows, kernel, half)
+    if family.bit_count() < half:
+        found = _search(rows, kernel, family.bit_count(), half)
+        if found is not None:
+            family = _union(1 << v for v in found)
+    return left & ~right & keep | family
 
 
 def instance_from_relation(count: int, relation: Callable[[int, int], bool]) -> CliqueInstance:

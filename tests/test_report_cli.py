@@ -386,12 +386,56 @@ def test_cli_commands_back_to_back_match_fresh_calls(capsys):
     assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2, 0, 0]
     cli._build_parser.cache_clear()
     assert [cli_outcome(capsys, argv) for argv in BACK_TO_BACK] == fresh
-    shared = cli._build_parser()
-    assert cli._build_parser() is shared  # one parser per process
     for argv in BACK_TO_BACK:
+        shared = cli._build_parser(argv[0])
+        assert cli._build_parser(argv[0]) is shared  # one parser per command
         if argv != ["sperner", "--n-range", "5..3"]:
             assert vars(shared.parse_args(argv)) == vars(
                 cli._build_parser.__wrapped__().parse_args(argv)), argv
+
+
+# a valid call of each command, in the order that usage lists them
+VALID_CALLS = {
+    "gamma-dist": ["--n", "3"],
+    "construct": ["--n", "3"],
+    "verify": ["--n", "3"],
+    "exact-m": ["--n", "3"],
+    "graph-m": ["--graph", "path:3"],
+    "attractive": ["--n", "2"],
+    "sperner": ["--n", "3"],
+    "montecarlo": ["--n", "5", "--samples", "100"],
+    "crossover": ["--max-n", "50"],
+    "report": ["--n-range", "1..3"],
+}
+
+
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch):
+    """``main`` builds only the named command's subparser; for each command,
+    --help, an unknown flag, the required argument missing, and a valid call
+    with a trailing token give the same exit code, stdout and stderr as
+    through the parser of all ten commands. No arguments, -h and an unknown
+    command take the full parser, and list all ten."""
+    assert list(VALID_CALLS) == list(cli._COMMANDS)
+    probes = []
+    for command, args in VALID_CALLS.items():
+        probes += [[command, "--help"], [command, "--bogus"], [command], [command, *args, "extra"]]
+    cli._build_parser.cache_clear()
+    own = [cli_outcome(capsys, argv) for argv in probes]
+    assert [code for code, _, _ in own] == [0, 2, 2, 2] * 10
+    names = "{" + ",".join(VALID_CALLS) + "}"
+    for argv in ([], ["bogus"], ["-h"]):
+        code, out, err = cli_outcome(capsys, argv)
+        assert code == (0 if argv == ["-h"] else 2) and names in out + err, argv
+        if argv == ["-h"]:
+            assert all(help in " ".join(out.split()) for _, help, _ in cli._COMMANDS.values())
+        else:  # the action keeps its name in argparse's own errors
+            assert err.endswith(("required: command\n", "argument command: invalid choice: "
+                                 "'bogus' (choose from 'gamma-dist', 'construct', 'verify', "
+                                 "'exact-m', 'graph-m', 'attractive', 'sperner', 'montecarlo', "
+                                 "'crossover', 'report')\n")), err
+    full = cli._build_parser.__wrapped__()
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
+    assert [cli_outcome(capsys, argv) for argv in probes] == own
 
 
 def test_cli_out_dev_null(capsys):

@@ -16,7 +16,14 @@ from skewlab.graphs import Graph, all_loops, complete_multipartite, path, skew_a
 from skewlab.cli import main
 from skewlab.solver import exact_M, exact_MG, exact_attractive, multipartite_M
 from skewlab.report import sandwich_check
-from oracles import CliqueInstance, enumerate_max_clique, instance_from_relation, max_clique
+from oracles import (
+    CliqueInstance,
+    complement_graph,
+    enumerate_max_clique,
+    instance_from_relation,
+    max_clique,
+    unseeded_cover_family,
+)
 from tables import ATTRACTIVE_WITNESS_SHA256, MAX_FAMILY, MAX_FAMILY_WITNESS_3
 
 
@@ -171,6 +178,9 @@ def test_search_work_is_pinned(monkeypatch):
         repairs.append(need)
         return repair(rows, known, hit, cand, need)
 
+    def attractive(arg):
+        return exact_attractive(*arg)
+
     monkeypatch.setattr(solver, "_clique_cover", counted)
     monkeypatch.setattr(solver, "_repair", counted_repair)
     cases = [  # (extremal, argument, elements, repairs, search colorings, vertices colored)
@@ -183,6 +193,9 @@ def test_search_work_is_pinned(monkeypatch):
         (max_clique, random_instance(60, 0.5, 1), 60, 4, 91, 1203),
         (max_clique, random_instance(80, 0.7, 2), 80, 8, 600, 14625),
         (max_clique, random_instance(120, 0.3, 3), 120, 4, 212, 3077),
+        # root covers that are not tight: 115 classes against 105, 13 against 12
+        (attractive, (path(5), all_loops(3), 5), 3 ** 5, 20, 3140, 440346),
+        (attractive, (path(3), all_loops(4), 3), 4 ** 3, 2, 31, 918),
     ]
     for extremal, arg, elements, tried, colorings, vertices in cases:
         colored.clear()
@@ -272,10 +285,10 @@ def test_bits_is_an_ascending_list():
 
 
 def test_family_check_reads_a_merged_root_class(monkeypatch):
-    """The closing self-check skips one-member classes, which are cliques, but
-    still reads a class merged from two of them: two one-member root classes
-    are never H-adjacent, or the greedy cover would have grown the first into
-    the second."""
+    """The class check before the witness pass skips the walk of one-member
+    classes, which are cliques, but still reads a class merged from two of
+    them: two one-member root classes are never H-adjacent, or the greedy
+    cover would have grown the first into the second."""
     h = subset_graph(path(6))
     cover = solver._clique_cover
 
@@ -580,6 +593,25 @@ def test_max_matching_on_dense_rows():
         assert len(set(mate.values())) == len(mate) == kuhn_matching_size(adj, count), trial
         assert free == [u for u in range(count) if u not in mate.values()], trial
         assert reach == alternating_reach(adj, free, mate), trial
+
+
+def test_cover_family_does_not_depend_on_the_matching():
+    """``_cover_family`` seeds its matching greedily, and ``max_matching``
+    grown from every kept vertex that has a row gives the same family: the
+    Koenig split is read off what alternating paths from the free left
+    copies reach, which is the same for every maximum matching. On the
+    subset families of path(1..10) and all_loops(10), the two nearly
+    complete H instances, and 60 seeded random relations, some of their
+    vertices left out of the size search."""
+    cases = [subset_graph(g) for g in [path(n) for n in range(1, 11)] + [all_loops(10)]]
+    cases += [solver._unrelated_mappings(path(n), g, n) for g, n in ((Graph(16, []), 3), (path(64), 2))]
+    rng = random.Random(30)
+    for _ in range(60):
+        count = rng.randint(1, 60)
+        _, rows, _ = complement_graph(random_instance(count, rng.uniform(0.02, 0.98), rng.getrandbits(32)))
+        cases.append((None, rows, [rng.random() < 0.8 for _ in range(count)]))
+    for case, (_, rows, kept) in enumerate(cases):
+        assert solver._cover_family(rows, kept) == unseeded_cover_family(rows, kept), case
 
 
 def test_exact_M_witness():

@@ -160,7 +160,7 @@ def _cmd_graph_m(args: argparse.Namespace) -> int:
         # refused from the part sizes: the edges of a large spec take seconds to list
         count = graphs.as_partition(parts).total
         graphs.check_vertex_count(count)
-        solver.check_subset_vertices(count)
+        solver.check_elements(2, count)
     g = _build_graph(spec)
     result = solver.exact_MG(g)
     extra: dict[str, object] = {"graph": spec, "vertices": g.vertex_count}

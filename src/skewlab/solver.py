@@ -16,36 +16,40 @@ the product, over positions, of the values that no value at a related
 position is adjacent to, and subset families are mappings into the skew
 alphabet. The size search leaves out every mapping that raising one value
 replaces without loss. The size comes from the vertex-cover LP of H (a
-maximum matching on H's bipartite double cover, seeded greedily, whose last
-round gives the Koenig cover, then an exact search of the Nemhauser-Trotter
-kernel);
-greedy cliques of H cover every element and bound any family by their
-number; and the lexicographically first witness is decided step by step by
-counting live classes, repairing a carried optimum, or else an iterative
-branch-and-bound search. Every search reads H's own rows, and one greedy
-H-clique cover, ``_clique_cover``, gives both the root classes and the
-search's colour bound. One augmenting-path matcher, ``max_matching``,
-serves both this and the Sperner sweep's level matchings.
+maximum matching on H's bipartite double cover, seeded greedily, whose
+alternating reach from the free vertices, one breadth-first search over the
+rows, gives the Koenig cover, then an exact search of the Nemhauser-Trotter
+kernel); greedy cliques of H cover every element and bound any family by
+their number; and the lexicographically first witness is decided step by
+step by counting live classes, repairing a carried optimum, or else an
+iterative branch-and-bound search. Every search reads H's own rows, and one
+greedy H-clique cover, ``_clique_cover``, gives both the root classes and
+the search's colour bound.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
-import math
 import operator
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .bitstring import BitString
 from .graphs import Graph, Partition, as_partition, path, skew_alphabet
 from .record import Record
 
+# elements per instance; H holds a row of that many bits per element, 2 MB in all
 MAX_ELEMENTS = 4096
-# H holds one 2^n-bit row per vertex subset: 2 MB of rows at 12 vertices
-MAX_SUBSET_VERTICES = 12
+MAX_SUBSET_VERTICES = MAX_ELEMENTS.bit_length() - 1  # exact_M's override ceiling, 12
 EXACT_M_DEFAULT_CAP = 8
+
+
+def check_elements(values: int, positions: int) -> None:
+    """Refuse the values^positions mappings (subsets: 2^vertices) past
+    ``MAX_ELEMENTS``, before any of them is built."""
+    if values ** positions > MAX_ELEMENTS:
+        raise ValueError(f"{values}^{positions} elements exceed the cap of {MAX_ELEMENTS}")
 
 
 def _bits(mask: int) -> list[int]:
@@ -120,50 +124,6 @@ def _search(rows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | N
         else:
             family.pop()
     return best
-
-
-def augment(start: int, neighbours: Callable[[int, set[int]], Iterable[int]],
-            mate: dict[int, int], seen: set[int]) -> bool:
-    """Extend a bipartite matching along an augmenting path from the free
-    left vertex ``start``, searched depth-first in ``neighbours`` order;
-    ``mate`` maps each matched right vertex to its left partner and is
-    rewritten along the path. False if no path avoids ``seen``, which
-    gathers the right vertices reached; ``neighbours(u, seen)`` may skip it."""
-    stack = [(start, iter(neighbours(start, seen)), None)]
-    while stack:  # frames: a left vertex on the path, its untried edges, the right vertex it came by
-        for v in stack[-1][1]:
-            if v not in seen:
-                seen.add(v)
-                w = mate.get(v)
-                if w is None:  # flip the path: each right vertex takes the left vertex before it
-                    for (a, _, _), (_, _, b) in zip(stack, stack[1:] + [(None, None, v)]):
-                        mate[b] = a
-                    return True
-                stack.append((w, iter(neighbours(w, seen)), v))
-                break
-        else:
-            stack.pop()
-    return False
-
-
-def max_matching(free: list[int], neighbours: Callable[[int, set[int]], Iterable[int]],
-                 mate: dict[int, int]) -> tuple[list[int], set[int]]:
-    """Grow the matching ``mate`` (right vertex: left partner) to a maximum
-    one by augmenting paths from the free left vertices ``free``.
-
-    Searches share their reached right vertices in rounds, since a failed
-    search's vertices reach no free right vertex while the matching stays
-    the same; a round retries the vertices the last one left free, until one
-    adds nothing; each round's reached set starts empty. Returns the left
-    vertices still free and that last round's reached set, which is then
-    every right vertex that an alternating path from them reaches.
-    """
-    while True:
-        seen: set[int] = set()
-        left = [s for s in free if not augment(s, neighbours, mate, seen)]
-        if len(left) == len(free):
-            return left, seen
-        free = left
 
 
 def _unrelated_mappings(f_graph: Graph, g_graph: Graph,
@@ -254,49 +214,34 @@ def _clique_cover(rows: Sequence[int], rest: int) -> list[int]:
     return classes
 
 
-def _row_neighbours(rows: Sequence[int], keep: int) -> Callable[[int, set[int]], Iterator[int]]:
-    """``max_matching`` neighbours of u: the bits of ``rows[u] & keep`` that
-    the round has not reached, highest first. A mask mirrors the reached set
-    ``seen`` and resets when it is empty, so a dense row costs one big-int
-    operation per vertex reached."""
-    avail = keep
-
-    def neighbours(u: int, seen: set[int]) -> Iterator[int]:
-        nonlocal avail
-        avail = avail if seen else keep
-        while top := (rows[u] & avail).bit_length():  # no row held while suspended
-            avail ^= 1 << top - 1
-            yield top - 1
-
-    return neighbours
-
-
 def _cover_family(rows: Sequence[int], kept: Sequence[bool]) -> int:
     """A largest pairwise-related family, as a mask of H's vertices, from the
     vertex-cover LP of H.
 
-    Only the ``kept`` vertices are searched: the matcher reads each row
-    through the kept mask, so the others get no edges. Raising a value of a
-    left-out element (see ``_unrelated_mappings``) ends in an optimum of the
-    same size that only has kept elements; for subsets this is the shifting
-    lemma, which keeps the subsets meeting N(x) or with x | N(x) everything.
-    The matching on H's double cover starts from a greedy one, each left
-    copy taking the highest free right copy in its row, and ``max_matching``
-    augments it from the left copies that stay free. Its last round, which
-    adds nothing, reaches from the free left copies the right copies in a
-    Koenig cover; a left copy is reached when it is free or its partner is,
-    and is in the cover when it is not. That reach is the same for every
-    maximum matching (Dulmage-Mendelsohn), so the seed changes none of what
-    follows. LP value 0 means the left copy is reached and the right one is
-    not. By Nemhauser-Trotter those vertices plus a largest family inside
-    the half-integral kernel are optimal; half the kernel bounds that
-    family, which stops its search.
+    Only the ``kept`` vertices are searched: each row is read through the
+    kept mask, so the others get no edges. Raising a value of a left-out
+    element (see ``_unrelated_mappings``) ends in an optimum of the same size
+    that only has kept elements; for subsets this is the shifting lemma,
+    which keeps the subsets meeting N(x) or with x | N(x) everything. The
+    matching on H's double cover starts from a greedy one, each left copy
+    taking the highest free right copy in its row. A breadth-first search
+    from the left copies left free then expands each reached left copy once,
+    by one AND of its row with the right copies not yet reached, and records
+    the left copy each right copy came from; meeting a free right copy, it
+    flips that augmenting path and searches again. The search that meets
+    none reaches the right copies of a Koenig cover; a left copy is reached
+    when it is free or its partner is, and is in the cover when it is not.
+    That reach is the same for every maximum matching (Dulmage-Mendelsohn),
+    so the seed changes none of what follows. LP value 0 means the left copy
+    is reached and the right one is not. By Nemhauser-Trotter those vertices
+    plus a largest family inside the half-integral kernel are optimal; half
+    the kernel bounds that family, which stops its search.
     """
     keep = 0
     for v in itertools.compress(range(len(kept)), kept):
         keep |= 1 << v
-    mate: dict[int, int] = {}  # seeded: each vertex takes its highest free right copy
-    free, avail = [], keep
+    mate: dict[int, int] = {}  # each matched right copy: its left partner
+    free, avail = [], keep  # the left copies left free, the right copies left free
     for u in itertools.compress(range(len(rows)), kept):
         if rows[u]:
             if top := (rows[u] & avail).bit_length():
@@ -304,14 +249,34 @@ def _cover_family(rows: Sequence[int], kept: Sequence[bool]) -> int:
                 mate[top - 1] = u
             else:
                 free.append(u)
-    _, reached = max_matching(free, _row_neighbours(rows, keep), mate)
+    while True:
+        came: dict[int, int] = {}  # each reached right copy: the left copy it came from
+        queue, unreached = free.copy(), keep
+        for u in queue:
+            new = rows[u] & unreached
+            unreached ^= new
+            if new & avail:
+                break
+            while new:
+                v = new.bit_length() - 1
+                new ^= 1 << v
+                came[v] = u
+                queue.append(mate[v])
+        else:
+            break
+        v = (new & avail).bit_length() - 1  # flip the path from the free right copy v back
+        avail ^= 1 << v
+        partner = {w: r for r, w in mate.items()}
+        while u in partner:
+            mate[v], v = u, partner[u]
+            u = came[v]
+        mate[v] = u
+        free.remove(u)
     full = (1 << len(rows)) - 1
-    unreached = right = 0
-    for v in mate.keys() - reached:
-        unreached |= 1 << mate[v]
-    for v in reached:
-        right |= 1 << v
-    left = full ^ unreached  # the reached left copies
+    left = full  # the reached left copies: all but the partners of unreached right copies
+    for v in mate.keys() - came.keys():
+        left ^= 1 << mate[v]
+    right = keep ^ unreached
     zero = left & ~right & keep
     kernel = full & ~(left ^ right)
     half = kernel.bit_count() // 2
@@ -353,14 +318,13 @@ def _family(pos: Sequence[int], rows: Sequence[int],
     colours their members and checks that each is an H-clique. Committing x
     drops x and its H-neighbours among the candidates. When x is not in the
     carried family, the completion is refuted if fewer than the needed
-    number of classes stay live, else repaired from the carried family, and
-    only if both fail decided by an exact search. The carried family's
+    number of classes can stay live, else repaired from the carried family,
+    and only if that fails decided by an exact search. The carried family's
     members lie in distinct classes, and those outside x's H-neighbours keep
     theirs live, so reading only the carried members that x drops bounds
-    the live classes from both sides, and the reading stops as soon as the
-    upper bound falls short; the dropped candidates are counted class by
-    class only when the bounds straddle the need. The live counts change
-    once, when x is committed or refuted.
+    the live classes from above, and the reading stops as soon as that
+    bound falls short. The live counts change once, when x is committed or
+    refuted.
     """
     count = len(pos)
     p = (1 << count) - 1  # candidates, in new labels
@@ -393,10 +357,10 @@ def _family(pos: Sequence[int], rows: Sequence[int],
         if known >> v & 1:
             known ^= 1 << v
         else:
-            # known's need + 1 members lie in distinct live classes: after x, floor of
-            # those stay live, and at most spare others, the classes without one; a
-            # dropped member's class dies unless it still meets cand, and once more
-            # than spare + 1 have died, x is refuted without reading the rest
+            # known's need + 1 members lie in distinct live classes, and spare live
+            # classes hold none of them; a dropped member's class dies unless it still
+            # meets cand, and once more than spare + 1 have died, fewer than need
+            # classes stay live: x is refuted without reading the rest
             spare = live_classes - need - 1
             dead, lost = 0, known & hit
             while lost and dead <= spare + 1:
@@ -404,12 +368,8 @@ def _family(pos: Sequence[int], rows: Sequence[int],
                 lost ^= 1 << k
                 c = colour[k]
                 dead += live[c] == 1 or not classes[c] & cand
-            floor = need + 1 - dead
-            if floor < need <= floor + spare:  # only an exact count decides: floor takes it
-                dropped = collections.Counter(colour[w] for w in (v, *_bits(hit)))
-                floor = live_classes - sum(live[c] == d for c, d in dropped.items())
             completion = None
-            if floor >= need:
+            if dead <= spare + 1:
                 completion = _repair(rows, known, hit, cand, need)
                 if completion.bit_count() < need:
                     found = _search(rows, cand, need - 1, need)
@@ -460,8 +420,8 @@ def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
     """Largest family of length-n strings, any two distinct ones skewincident.
 
     Capped at n = 8 (256 strings) unless ``override_cap`` is set; the hard
-    limit of n = 12 bounds the unrelated graph H, which holds one 2^n-bit
-    row per string.
+    limit of n = 12, 2^n = ``MAX_ELEMENTS`` strings, bounds the unrelated
+    graph H, which holds one 2^n-bit row per string.
     """
     cap = MAX_SUBSET_VERTICES if override_cap else EXACT_M_DEFAULT_CAP
     if not 1 <= n <= cap:
@@ -472,13 +432,6 @@ def exact_M(n: int, override_cap: bool = False) -> ExtremalResult:
     return _relabel(_subset_family(path(n)), functools.partial(BitString, n))
 
 
-def check_subset_vertices(count: int) -> None:
-    """Refuse a graph too large for ``exact_MG``, whose unrelated graph holds
-    one 2^count-bit row per subset."""
-    if count > MAX_SUBSET_VERTICES:
-        raise ValueError(f"vertex count must be <= {MAX_SUBSET_VERTICES}, got {count}")
-
-
 def exact_MG(g: Graph) -> ExtremalResult:
     """Largest family of distinct vertex subsets of g, any two of which
     contain a pair of adjacent vertices.
@@ -486,7 +439,7 @@ def exact_MG(g: Graph) -> ExtremalResult:
     Elements are all subsets, indexed by bitmask with vertex 0 least
     significant; the witness lists subsets as sorted vertex tuples.
     """
-    check_subset_vertices(g.vertex_count)
+    check_elements(2, g.vertex_count)
     return _relabel(_subset_family(g), lambda mask: tuple(_bits(mask)))
 
 
@@ -514,8 +467,6 @@ def exact_attractive(f_graph: Graph, g_graph: Graph, n: int) -> ExtremalResult:
         raise ValueError(
             f"position graph has {f_graph.vertex_count} vertices, need at least {n}"
         )
-    count = g_graph.vertex_count ** n
-    if count > MAX_ELEMENTS:
-        raise ValueError(f"|V(g)|^n = {count} exceeds the cap of {MAX_ELEMENTS}")
+    check_elements(g_graph.vertex_count, n)
     maps = list(itertools.product(range(g_graph.vertex_count), repeat=n))
     return _relabel(_timed_family(_unrelated_mappings, f_graph, g_graph, n), maps.__getitem__)

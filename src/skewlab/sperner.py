@@ -17,9 +17,8 @@ so the matchings of length n start as the union of those two lengths'
 matchings, the second with the top bit set on both ends (one level up).
 Only a pair of levels whose inherited links fall short of its smaller level
 is extended, by augmenting paths from its free strings; the cover
-neighbours are read off the masks. The paths come from
-``solver.max_matching``, the one matcher the clique engine shares, whose
-last round gives it the Koenig cover of the unrelated graph.
+neighbours are read off the masks. The paths come from ``max_matching``,
+whose depth-first searches share the strings they reach within a round.
 
 Strings stay the integer masks of ``fibonacci_masks`` throughout; only the
 members of a returned witness become ``BitString``s.
@@ -28,13 +27,12 @@ members of a returned witness become ``BitString``s.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import zip_longest
 
 from .bitstring import BitString
 from .counting import fibonacci_count
 from .record import Record
-from .solver import max_matching
 
 MAX_POSET_LENGTH = 20
 
@@ -42,6 +40,50 @@ MAX_POSET_LENGTH = 20
 def _check_length(n: int) -> None:
     if not 1 <= n <= MAX_POSET_LENGTH:
         raise ValueError(f"n must be in [1, {MAX_POSET_LENGTH}], got {n}")
+
+
+def augment(start: int, neighbours: Callable[[int, set[int]], Iterable[int]],
+            mate: dict[int, int], seen: set[int]) -> bool:
+    """Extend a bipartite matching along an augmenting path from the free
+    left vertex ``start``, searched depth-first in ``neighbours`` order;
+    ``mate`` maps each matched right vertex to its left partner and is
+    rewritten along the path. False if no path avoids ``seen``, which
+    gathers the right vertices reached; ``neighbours(u, seen)`` may skip it."""
+    stack = [(start, iter(neighbours(start, seen)), None)]
+    while stack:  # frames: a left vertex on the path, its untried edges, the right vertex it came by
+        for v in stack[-1][1]:
+            if v not in seen:
+                seen.add(v)
+                w = mate.get(v)
+                if w is None:  # flip the path: each right vertex takes the left vertex before it
+                    for (a, _, _), (_, _, b) in zip(stack, stack[1:] + [(None, None, v)]):
+                        mate[b] = a
+                    return True
+                stack.append((w, iter(neighbours(w, seen)), v))
+                break
+        else:
+            stack.pop()
+    return False
+
+
+def max_matching(free: list[int], neighbours: Callable[[int, set[int]], Iterable[int]],
+                 mate: dict[int, int]) -> tuple[list[int], set[int]]:
+    """Grow the matching ``mate`` (right vertex: left partner) to a maximum
+    one by augmenting paths from the free left vertices ``free``.
+
+    Searches share their reached right vertices in rounds, since a failed
+    search's vertices reach no free right vertex while the matching stays
+    the same; a round retries the vertices the last one left free, until one
+    adds nothing; each round's reached set starts empty. Returns the left
+    vertices still free and that last round's reached set, which is then
+    every right vertex that an alternating path from them reaches.
+    """
+    while True:
+        seen: set[int] = set()
+        left = [s for s in free if not augment(s, neighbours, mate, seen)]
+        if len(left) == len(free):
+            return left, seen
+        free = left
 
 
 def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from skewlab.bitstring import (
     BitString,
@@ -35,13 +35,11 @@ from skewlab.solver import (
     ExtremalResult,
     _bits,
     _greedy_clique,
-    _row_neighbours,
     _search,
     _timed_family,
     _union,
-    max_matching,
 )
-from skewlab.sperner import antichain_sweep
+from skewlab.sperner import antichain_sweep, max_matching
 
 ORACLE_MAX_LENGTH = 10
 
@@ -115,14 +113,33 @@ def max_clique(instance: CliqueInstance) -> ExtremalResult:
     return _timed_family(complement_graph, instance)
 
 
+def row_neighbours(rows: Sequence[int], keep: int) -> Callable[[int, set[int]], Iterator[int]]:
+    """``max_matching`` neighbours of u: the bits of ``rows[u] & keep`` that
+    the round has not reached, highest first. A mask mirrors the reached set
+    ``seen`` and resets when it is empty, so a dense row costs one big-int
+    operation per vertex reached."""
+    avail = keep
+
+    def neighbours(u: int, seen: set[int]) -> Iterator[int]:
+        nonlocal avail
+        avail = avail if seen else keep
+        while top := (rows[u] & avail).bit_length():  # no row held while suspended
+            avail ^= 1 << top - 1
+            yield top - 1
+
+    return neighbours
+
+
 def unseeded_cover_family(rows: Sequence[int], kept: Sequence[bool]) -> int:
-    """``_cover_family`` with its matching grown by ``max_matching`` alone,
-    from every kept vertex that has a row, with no greedy seed: the König
-    split that the seeded matching must reproduce."""
+    """``_cover_family``'s LP with its matching grown by the Sperner sweep's
+    depth-first ``max_matching`` alone, from every kept vertex that has a
+    row, with no greedy seed, and the König split read off that matcher's
+    last round: the split that the seeded breadth-first search must
+    reproduce."""
     keep = _union(1 << v for v in range(len(kept)) if kept[v])
     mate: dict[int, int] = {}
     _, reached = max_matching([u for u, row in enumerate(rows) if kept[u] and row],
-                              _row_neighbours(rows, keep), mate)
+                              row_neighbours(rows, keep), mate)
     full = (1 << len(rows)) - 1
     left = full ^ _union(1 << mate[v] for v in mate.keys() - reached)  # the reached left copies
     right = _union(1 << v for v in reached)

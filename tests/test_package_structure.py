@@ -1,9 +1,9 @@
 """Structural properties of the ``skewlab`` sources, read from their syntax
-trees: stdlib-only imports without ``dataclasses``, an acyclic import graph
-between the package's modules, no function that calls itself, no
-definition that nothing reads, no definition that only tests read,
-beyond a short list of public names, and no record constructor that only
-stores its fields."""
+trees: stdlib-only imports without ``dataclasses``, no import that its
+module never reads, an acyclic import graph between the package's modules,
+no function that calls itself, no definition that nothing reads, no
+definition that only tests read, beyond a short list of public names, and
+no record constructor that only stores its fields."""
 
 import ast
 import subprocess
@@ -52,6 +52,28 @@ def test_every_import_is_stdlib():
                for top in absolute_imports(tree)
                if top not in sys.stdlib_module_names and top != "skewlab"]
     assert foreign == []
+
+
+def unread_imports(tree: ast.Module) -> list[str]:
+    """Names that a module-level import of ``tree`` binds and that ``tree``
+    never reads; ``from __future__`` binds none."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_read():
+    assert unread_imports(ast.parse(
+        "from __future__ import annotations\nimport math\nimport os.path\n"
+        "from a import b as c, d\nos.getcwd()\nd(b)\n")) == ["math", "c"]
+    assert {name: unread for name, tree in parsed_modules().items()
+            if (unread := unread_imports(tree))} == {}
 
 
 def test_no_module_imports_dataclasses():

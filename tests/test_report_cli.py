@@ -290,6 +290,7 @@ CAPPED_ARGUMENTS = [  # (argv, the bound its message names, or None)
      sperner.MAX_POSET_LENGTH),
     (["exact-m", "--n", str(solver.MAX_SUBSET_VERTICES + 1), "--override-cap"],
      solver.MAX_SUBSET_VERTICES),
+    (["graph-m", "--graph", "path:13"], solver.MAX_ELEMENTS),
     (["attractive", "--alphabet-graph", "path:3",  # the fewest positions with 3^n past the cap
       "--n", str(next(n for n in itertools.count(1) if 3 ** n > solver.MAX_ELEMENTS))],
      solver.MAX_ELEMENTS),
@@ -476,7 +477,7 @@ def test_cli_graph_m_refuses_past_its_cap_before_building(capsys, monkeypatch):
     assert main(["graph-m", "--graph", "multipartite:2048,2048"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "skewlab: error: vertex count must be <= 12, got 4096\n"
+    assert captured.err == "skewlab: error: 2^4096 elements exceed the cap of 4096\n"
     assert built == []
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from skewlab import solver
+from skewlab import solver, sperner
 from skewlab.bitstring import Family, influence_bits, skewincident, skewincident_bits
 from skewlab.constructions import verify_pairwise_skewincident
 from skewlab.counting import fibonacci_count
@@ -22,6 +22,7 @@ from oracles import (
     enumerate_max_clique,
     instance_from_relation,
     max_clique,
+    row_neighbours,
     unseeded_cover_family,
 )
 from tables import ATTRACTIVE_WITNESS_SHA256, MAX_FAMILY, MAX_FAMILY_WITNESS_3
@@ -190,11 +191,11 @@ def test_search_work_is_pinned(monkeypatch):
         (exact_MG, all_loops(10), 2 ** 10, 1, 0, 0),
         (exact_MG, path(9), 2 ** 9, 12, 0, 0),
         (exact_MG, path(10), 2 ** 10, 12, 0, 0),
-        (max_clique, random_instance(60, 0.5, 1), 60, 4, 91, 1203),
+        (max_clique, random_instance(60, 0.5, 1), 60, 5, 92, 1208),
         (max_clique, random_instance(80, 0.7, 2), 80, 8, 600, 14625),
-        (max_clique, random_instance(120, 0.3, 3), 120, 4, 212, 3077),
+        (max_clique, random_instance(120, 0.3, 3), 120, 5, 213, 3079),
         # root covers that are not tight: 115 classes against 105, 13 against 12
-        (attractive, (path(5), all_loops(3), 5), 3 ** 5, 20, 3140, 440346),
+        (attractive, (path(5), all_loops(3), 5), 3 ** 5, 21, 3141, 440400),
         (attractive, (path(3), all_loops(4), 3), 4 ** 3, 2, 31, 918),
     ]
     for extremal, arg, elements, tried, colorings, vertices in cases:
@@ -547,7 +548,7 @@ def alternating_reach(adj: list[list[int]], free: list[int], mate: dict[int, int
 
 def check_max_matching(adj: list[list[int]], right: int, mate: dict[int, int], trial: int) -> None:
     given = [u for u in range(len(adj)) if u not in mate.values()]
-    free, reach = solver.max_matching(given, lambda u, seen: adj[u], mate)
+    free, reach = sperner.max_matching(given, lambda u, seen: adj[u], mate)
     assert all(v in adj[u] for v, u in mate.items()), trial
     assert len(set(mate.values())) == len(mate), trial
     assert len(mate) == kuhn_matching_size(adj, right), trial
@@ -559,7 +560,7 @@ def test_max_matching_returns_free_vertices_and_their_reach():
     """A maximum matching from an empty or a valid partial start, the left
     vertices it leaves free (edgeless ones among them), and the right
     vertices alternating paths from those reach: the Koenig cover that
-    ``_cover_family`` reads."""
+    ``unseeded_cover_family`` reads."""
     rng = random.Random(5)
     for trial in range(200):
         left, right = rng.randint(1, 12), rng.randint(1, 24)
@@ -571,12 +572,12 @@ def test_max_matching_returns_free_vertices_and_their_reach():
             if open_edges and rng.random() < 0.5:
                 partial[rng.choice(open_edges)] = u
         check_max_matching(adj, right, partial, trial)
-    assert solver.max_matching([], lambda u, seen: [], {}) == ([], set())
+    assert sperner.max_matching([], lambda u, seen: [], {}) == ([], set())
 
 
 def test_max_matching_on_dense_rows():
-    """The clique kernel's matcher on random rows with 90-97% of pairs
-    present, read through a random kept mask by ``_row_neighbours``: the
+    """The matcher on random rows with 90-97% of pairs
+    present, read through a random kept mask by ``row_neighbours``: the
     matching is maximum and the reach is the alternating one, as with plain
     neighbour lists."""
     rng = random.Random(6)
@@ -588,7 +589,7 @@ def test_max_matching_on_dense_rows():
         keep = sum(1 << v for v in range(count) if rng.random() < 0.9)
         adj = [list(solver._bits(row & keep)) for row in rows]
         mate: dict[int, int] = {}
-        free, reach = solver.max_matching(list(range(count)), solver._row_neighbours(rows, keep), mate)
+        free, reach = sperner.max_matching(list(range(count)), row_neighbours(rows, keep), mate)
         assert all(v in adj[u] for v, u in mate.items()), trial
         assert len(set(mate.values())) == len(mate) == kuhn_matching_size(adj, count), trial
         assert free == [u for u in range(count) if u not in mate.values()], trial

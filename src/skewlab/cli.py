@@ -156,11 +156,6 @@ def _cmd_exact_m(args: argparse.Namespace) -> int:
 def _cmd_graph_m(args: argparse.Namespace) -> int:
     spec = args.graph_spec
     parts = _multipartite_parts(spec) if spec.partition(":")[0] == "multipartite" else None
-    if parts is not None:
-        # refused from the part sizes: the edges of a large spec take seconds to list
-        count = graphs.as_partition(parts).total
-        graphs.check_vertex_count(count)
-        solver.check_elements(2, count)
     g = _build_graph(spec)
     result = solver.exact_MG(g)
     extra: dict[str, object] = {"graph": spec, "vertices": g.vertex_count}

@@ -29,12 +29,6 @@ class Partition(Record):
         return len(self.parts)
 
 
-def check_vertex_count(count: int) -> None:
-    """Refuse a graph size before any of its edges is generated."""
-    if not 1 <= count <= MAX_VERTICES:
-        raise ValueError(f"vertex_count must be in [1, {MAX_VERTICES}], got {count}")
-
-
 def as_partition(p: Partition | Sequence[int]) -> Partition:
     """Coerce a plain sequence of part sizes into a validated Partition."""
     return p if isinstance(p, Partition) else Partition(tuple(p))
@@ -52,7 +46,8 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         # checked before ``edges`` is read: the generators below pass their edges
         # lazily, so an oversized graph is refused before any edge exists
-        check_vertex_count(vertex_count)
+        if not 1 <= vertex_count <= MAX_VERTICES:
+            raise ValueError(f"vertex_count must be in [1, {MAX_VERTICES}], got {vertex_count}")
         self.vertex_count = vertex_count
         rows = [0] * vertex_count
         for u, v in edges:
@@ -123,16 +118,18 @@ def path(n: int) -> Graph:
 
 def complete_multipartite(p: Partition | Sequence[int]) -> Graph:
     """Complete multipartite graph; vertices grouped into consecutive blocks
-    of the given part sizes, adjacent iff they lie in different parts."""
+    of the given part sizes, adjacent iff they lie in different parts. Each
+    part's vertices share one row, every vertex outside the part, so no edge
+    is listed: an oversized graph is refused, and a large one built, at once."""
     part = as_partition(p)
-    bounds = []
+    g = Graph(part.total)
+    full = (1 << part.total) - 1
+    g._rows = []
     start = 0
     for size in part.parts:
-        bounds.append((start, start + size))
+        g._rows += [full ^ (1 << start + size) - (1 << start)] * size
         start += size
-    edges = ((u, v) for a, (s1, e1) in enumerate(bounds) for s2, e2 in bounds[a + 1 :]
-             for u in range(s1, e1) for v in range(s2, e2))
-    return Graph(part.total, edges)
+    return g
 
 
 def all_loops(n: int) -> Graph:

@@ -88,41 +88,43 @@ def _greedy_clique(rows: Sequence[int], cand: int, need: int) -> int:
     return family
 
 
-def _search(rows: Sequence[int], p: int, floor: int, stop: int) -> list[int] | None:
+def _search(rows: Sequence[int], p: int, floor: int, stop: int) -> int | None:
     """The largest family inside candidate set ``p``, no two members adjacent
-    in H, with more than ``floor`` members, or None; returns as soon as a
-    family reaches ``stop`` members.
+    in H, with more than ``floor`` members, as a mask, or None; returns as
+    soon as a family reaches ``stop`` members.
 
-    Frames are [candidates, their ``_clique_cover``]. A frame branches on the
-    highest vertex of its last class, removed from its candidates first, and
-    ends when the family plus the number of classes left cannot beat the
-    floor; every family that does beat it raises the floor."""
+    Frames are [candidates, their ``_clique_cover``, the vertex bit that
+    opened the frame]. A frame branches on the highest vertex of its last
+    class, removed from its candidates first, and ends when the family plus
+    the number of classes left cannot beat the floor; every family that
+    does beat it raises the floor."""
     best = None
-    family: list[int] = []
-    stack = [[p, _clique_cover(rows, p)]]
+    family = size = 0
+    stack = [[p, _clique_cover(rows, p), 0]]
     while stack:
         frame = stack[-1]
-        p, classes = frame
-        if len(family) + len(classes) <= floor:
-            stack.pop()
-            if stack:
-                family.pop()
+        p, classes, _ = frame
+        if size + len(classes) <= floor:
+            family ^= stack.pop()[2]  # the root's bit is 0, and popping it ends the search
+            size -= 1
             continue
         v = classes[-1].bit_length() - 1
         classes[-1] ^= 1 << v
         if not classes[-1]:
             classes.pop()
         frame[0] = p = p ^ 1 << v
-        family.append(v)
-        if len(family) > floor:
-            best, floor = family.copy(), len(family)
+        family |= 1 << v
+        size += 1
+        if size > floor:
+            best, floor = family, size
             if floor >= stop:
                 return best
         sub = p & ~rows[v]
         if sub:
-            stack.append([sub, _clique_cover(rows, sub)])
+            stack.append([sub, _clique_cover(rows, sub), 1 << v])
         else:
-            family.pop()
+            family ^= 1 << v
+            size -= 1
     return best
 
 
@@ -282,9 +284,7 @@ def _cover_family(rows: Sequence[int], kept: Sequence[bool]) -> int:
     half = kernel.bit_count() // 2
     family = _greedy_clique(rows, kernel, half)
     if family.bit_count() < half:
-        found = _search(rows, kernel, family.bit_count(), half)
-        if found is not None:
-            family = _union(1 << v for v in found)
+        family = _search(rows, kernel, family.bit_count(), half) or family
     return zero | family
 
 
@@ -372,8 +372,7 @@ def _family(pos: Sequence[int], rows: Sequence[int],
             if dead <= spare + 1:
                 completion = _repair(rows, known, hit, cand, need)
                 if completion.bit_count() < need:
-                    found = _search(rows, cand, need - 1, need)
-                    completion = None if found is None else _union(1 << w for w in found)
+                    completion = _search(rows, cand, need - 1, need)
             if completion is None:
                 live[colour[v]] -= 1
                 live_classes -= not live[colour[v]]

@@ -16,9 +16,9 @@ length-(n-1) ones and the length-(n-2) ones with the top bit 2^(n-1) set,
 so the matchings of length n start as the union of those two lengths'
 matchings, the second with the top bit set on both ends (one level up).
 Only a pair of levels whose inherited links fall short of its smaller level
-is extended, by augmenting paths from its free strings; the cover
-neighbours are read off the masks. The paths come from ``max_matching``,
-whose depth-first searches share the strings they reach within a round.
+is extended, by ``_fill_pair``'s depth-first augmenting paths from its free
+strings, which walk the bits of each string's cover neighbours, read off
+its mask; the searches of a round share the strings they reach.
 
 Strings stay the integer masks of ``fibonacci_masks`` throughout; only the
 members of a returned witness become ``BitString``s.
@@ -27,7 +27,7 @@ members of a returned witness become ``BitString``s.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 from itertools import zip_longest
 
 from .bitstring import BitString
@@ -42,50 +42,6 @@ def _check_length(n: int) -> None:
         raise ValueError(f"n must be in [1, {MAX_POSET_LENGTH}], got {n}")
 
 
-def augment(start: int, neighbours: Callable[[int, set[int]], Iterable[int]],
-            mate: dict[int, int], seen: set[int]) -> bool:
-    """Extend a bipartite matching along an augmenting path from the free
-    left vertex ``start``, searched depth-first in ``neighbours`` order;
-    ``mate`` maps each matched right vertex to its left partner and is
-    rewritten along the path. False if no path avoids ``seen``, which
-    gathers the right vertices reached; ``neighbours(u, seen)`` may skip it."""
-    stack = [(start, iter(neighbours(start, seen)), None)]
-    while stack:  # frames: a left vertex on the path, its untried edges, the right vertex it came by
-        for v in stack[-1][1]:
-            if v not in seen:
-                seen.add(v)
-                w = mate.get(v)
-                if w is None:  # flip the path: each right vertex takes the left vertex before it
-                    for (a, _, _), (_, _, b) in zip(stack, stack[1:] + [(None, None, v)]):
-                        mate[b] = a
-                    return True
-                stack.append((w, iter(neighbours(w, seen)), v))
-                break
-        else:
-            stack.pop()
-    return False
-
-
-def max_matching(free: list[int], neighbours: Callable[[int, set[int]], Iterable[int]],
-                 mate: dict[int, int]) -> tuple[list[int], set[int]]:
-    """Grow the matching ``mate`` (right vertex: left partner) to a maximum
-    one by augmenting paths from the free left vertices ``free``.
-
-    Searches share their reached right vertices in rounds, since a failed
-    search's vertices reach no free right vertex while the matching stays
-    the same; a round retries the vertices the last one left free, until one
-    adds nothing; each round's reached set starts empty. Returns the left
-    vertices still free and that last round's reached set, which is then
-    every right vertex that an alternating path from them reaches.
-    """
-    while True:
-        seen: set[int] = set()
-        left = [s for s in free if not augment(s, neighbours, mate, seen)]
-        if len(left) == len(free):
-            return left, seen
-        free = left
-
-
 def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int) -> int:
     """Augment the links ``up`` between two adjacent levels to a maximum
     matching from the free strings of the smaller level (the lower on ties);
@@ -93,6 +49,11 @@ def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int
     ``full`` (upward) or clear a bit, the highest first: the top bit crosses
     to the other half of the strings, where the recursion leaves the free
     partners.
+
+    The augmenting paths are searched depth-first, and the searches of one
+    round share the strings they reach: a failed search's strings reach no
+    free partner while the matching stays the same. A round retries the
+    strings the last one left free, until one adds no link.
     """
     upward = len(lower) <= len(upper)
     matched = {up[a]: a for a in lower if a in up}  # upper string: its lower partner
@@ -100,18 +61,38 @@ def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int
         mate, free = matched, [a for a in lower if a not in up]
     else:
         mate, free = up, [b for b in upper if b not in matched]
-
-    def neighbours(s: int, seen: set[int]) -> Iterator[int]:
-        bits = full & ~(s | s << 1 | s >> 1) if upward else s
-        while bits:
-            bit = 1 << bits.bit_length() - 1
-            bits ^= bit
-            yield s ^ bit
-
-    left, _ = max_matching(free, neighbours, mate)
+    total = len(free)
+    while True:
+        seen: set[int] = set()
+        left = []
+        for s in free:
+            # frames: a string on the path, the bits of its untried neighbours, the string it came by
+            stack = [[s, full & ~(s | s << 1 | s >> 1) if upward else s, None]]
+            while stack:
+                frame = stack[-1]
+                if not frame[1]:
+                    stack.pop()
+                    continue
+                bit = 1 << frame[1].bit_length() - 1
+                frame[1] ^= bit
+                v = frame[0] ^ bit
+                if v in seen:
+                    continue
+                seen.add(v)
+                w = mate.get(v)
+                if w is None:  # flip the path: each string reached takes the one before it
+                    for (a, _, _), (_, _, b) in zip(stack, stack[1:] + [(None, None, v)]):
+                        mate[b] = a
+                    break
+                stack.append([w, full & ~(w | w << 1 | w >> 1) if upward else w, v])
+            else:
+                left.append(s)
+        if len(left) == len(free):
+            break
+        free = left
     if upward:
-        up.update({a: b for b, a in matched.items()})
-    return len(free) - len(left)
+        up.update(zip(matched.values(), matched))
+    return total - len(free)
 
 
 def _next_length(n: int, older: tuple, newer: tuple) -> tuple:

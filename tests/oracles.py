@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 from skewlab.bitstring import (
     BitString,
@@ -39,7 +39,7 @@ from skewlab.solver import (
     _timed_family,
     _union,
 )
-from skewlab.sperner import antichain_sweep, max_matching
+from skewlab.sperner import antichain_sweep
 
 ORACLE_MAX_LENGTH = 10
 
@@ -113,43 +113,54 @@ def max_clique(instance: CliqueInstance) -> ExtremalResult:
     return _timed_family(complement_graph, instance)
 
 
-def row_neighbours(rows: Sequence[int], keep: int) -> Callable[[int, set[int]], Iterator[int]]:
-    """``max_matching`` neighbours of u: the bits of ``rows[u] & keep`` that
-    the round has not reached, highest first. A mask mirrors the reached set
-    ``seen`` and resets when it is empty, so a dense row costs one big-int
-    operation per vertex reached."""
-    avail = keep
-
-    def neighbours(u: int, seen: set[int]) -> Iterator[int]:
-        nonlocal avail
-        avail = avail if seen else keep
-        while top := (rows[u] & avail).bit_length():  # no row held while suspended
-            avail ^= 1 << top - 1
-            yield top - 1
-
-    return neighbours
+def row_matching(rows: Sequence[int], keep: int, free: list[int],
+                 mate: dict[int, int]) -> tuple[list[int], int]:
+    """Grow the matching ``mate`` (right vertex: left partner) to a maximum
+    one by depth-first augmenting paths from the left vertices ``free``,
+    where u's right neighbours are the bits of ``rows[u] & keep``, the
+    highest first. The searches of a round share one mask of the right
+    vertices it has not reached, so a dense row costs one big-int operation
+    per vertex reached; a round retries the vertices the last one left
+    free, until one adds nothing. Returns the left vertices still free and
+    the right vertices that last round reached, as a mask: every right
+    vertex that an alternating path from them reaches."""
+    while True:
+        avail, left = keep, []
+        for start in free:
+            stack = [(start, None)]  # frames: a left vertex on the path, the right vertex it came by
+            while stack:
+                v = (rows[stack[-1][0]] & avail).bit_length() - 1
+                if v < 0:
+                    stack.pop()
+                    continue
+                avail ^= 1 << v
+                if v not in mate:  # flip the path: each right vertex takes the left vertex before it
+                    for (a, _), (_, b) in zip(stack, stack[1:] + [(None, v)]):
+                        mate[b] = a
+                    break
+                stack.append((mate[v], v))
+            else:
+                left.append(start)
+        if len(left) == len(free):
+            return left, keep & ~avail
+        free = left
 
 
 def unseeded_cover_family(rows: Sequence[int], kept: Sequence[bool]) -> int:
-    """``_cover_family``'s LP with its matching grown by the Sperner sweep's
-    depth-first ``max_matching`` alone, from every kept vertex that has a
-    row, with no greedy seed, and the König split read off that matcher's
-    last round: the split that the seeded breadth-first search must
-    reproduce."""
+    """``_cover_family``'s LP with its matching grown by ``row_matching``
+    alone, from every kept vertex that has a row, with no greedy seed, and
+    the König split read off that matcher's last round: the split that the
+    seeded breadth-first search must reproduce."""
     keep = _union(1 << v for v in range(len(kept)) if kept[v])
     mate: dict[int, int] = {}
-    _, reached = max_matching([u for u, row in enumerate(rows) if kept[u] and row],
-                              row_neighbours(rows, keep), mate)
+    _, right = row_matching(rows, keep, [u for u, row in enumerate(rows) if kept[u] and row], mate)
     full = (1 << len(rows)) - 1
-    left = full ^ _union(1 << mate[v] for v in mate.keys() - reached)  # the reached left copies
-    right = _union(1 << v for v in reached)
+    left = full ^ _union(1 << u for v, u in mate.items() if not right >> v & 1)  # the reached left copies
     kernel = full & ~(left ^ right)
     half = kernel.bit_count() // 2
     family = _greedy_clique(rows, kernel, half)
     if family.bit_count() < half:
-        found = _search(rows, kernel, family.bit_count(), half)
-        if found is not None:
-            family = _union(1 << v for v in found)
+        family = _search(rows, kernel, family.bit_count(), half) or family
     return left & ~right & keep | family
 
 

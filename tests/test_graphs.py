@@ -1,5 +1,7 @@
 """Graph type, generators, and the text exchange format."""
 
+import itertools
+
 import pytest
 
 from skewlab.graphs import (
@@ -43,6 +45,11 @@ def test_complete_multipartite_shapes():
     # edge count of a bipartite instance is the product of the part sizes
     for m, n in ((1, 3), (2, 5), (4, 4)):
         assert len(complete_multipartite((m, n)).edges()) == m * n
+    # the rows given per part are the graph that listing every edge builds
+    for parts in ((1, 1), (2, 2), (1, 1, 1), (1, 3), (2, 5), (4, 4)):
+        block = [b for b, size in enumerate(parts) for _ in range(size)]
+        edges = [(u, v) for u, v in itertools.combinations(range(len(block)), 2) if block[u] != block[v]]
+        assert complete_multipartite(parts) == Graph(len(block), edges), parts
 
 
 def test_all_loops():

@@ -120,18 +120,32 @@ def test_tables_stream_the_sweep(monkeypatch):
     assert peak < 4 << 20, peak
 
 
-# exit code and stdout SHA-256 of the counting-heavy commands at their caps,
-# recorded before the bound roots, the DP step and the sampler's lane sum
-# were rewritten
+# exit code and stdout SHA-256 of the nine benchmark command lines (the
+# Monte Carlo one at a fixed seed) and of the sweep's size table; the four
+# counting rows recorded before the bound roots, the DP step and the
+# sampler's lane sum were rewritten, the others before the Sperner sweep's
+# searches moved into its level-pair fill
 COUNTING_AT_THE_CAPS = {
+    "exact-m --n 10 --override-cap --format json":
+        (0, "0996f85ad0e64644ddc0a96a0447313125c264f266945fbf8302834301f8dfe3"),
+    "graph-m --graph path:9":
+        (0, "db3ba18cd34c014e93bd78e06d7575c4f4117fdf7d1944f7db65686887482ac2"),
+    "attractive --n 7 --alphabet-graph path:3":
+        (0, "a8b4ca6e855c638b098784f9afa6098a31f4a525bae57814717e9442402631a6"),
+    "graph-m --graph all-loops:10":
+        (0, "f668dfc034c44b94a7b775f6b9db8e2085977041efff149735483c5c306a8ae9"),
     "report --table theorem --max-n 512 --format csv":
         (0, "753a242c5e8839e09d2b921134a3058941450260188cbe6159e9525b5f12ca68"),
+    "sperner --n 20 --witness":
+        (0, "2aa9cca271fba1f75c5c170529733f2251bb7c0dc76641a0e6d81a365bd71e59"),
     "crossover --max-n 512":
         (0, "f15bfa977df2396adc2c608a250fbf4cbee8f70641045c0d3df82234758f52b5"),
     "gamma-dist --n 512 --format csv":
         (0, "1848d545afbedbe14a5e756bf2da28b66562e5530ed3c9c71509e6fdca447e7b"),
     "montecarlo --n 64 --samples 1000000 --seed 101":
         (0, "6b56a488c12e3bc3d83ef0a2787bf0bc7f2ac194149ddfd3befc8d0467b82fa1"),
+    "sperner --n-range 1..20":
+        (0, "374483720e9a8290da0d8751ab35b3685764771035391c6c32bceb0048f5b935"),
 }
 
 
@@ -470,15 +484,25 @@ def test_cli_oversized_graph_specs_fail_before_building(capsys):
 
 
 def test_cli_graph_m_refuses_past_its_cap_before_building(capsys, monkeypatch):
-    """A multipartite spec within the graph cap but past the subset route's
-    is refused from its part sizes: its edges would take seconds to list."""
-    built = []
-    monkeypatch.setattr(cli.graphs, "complete_multipartite", built.append)
-    assert main(["graph-m", "--graph", "multipartite:2048,2048"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "skewlab: error: 2^4096 elements exceed the cap of 4096\n"
-    assert built == []
+    """A multipartite spec within the graph cap but past the element cap is
+    refused before any edge is listed: its 4M edges would take seconds. The
+    graph takes one row per part, so graph-m and an attractive alphabet are
+    refused by the solver's own element cap."""
+    listed = []
+    init = cli.graphs.Graph.__init__
+
+    def listing(self, vertex_count, edges=()):
+        init(self, vertex_count, (listed.append(e) or e for e in edges))
+
+    monkeypatch.setattr(cli.graphs.Graph, "__init__", listing)
+    for argv, message in ((["graph-m", "--graph", "multipartite:2048,2048"], "2^4096"),
+                          (["attractive", "--n", "2", "--alphabet-graph", "multipartite:2048,2048"],
+                           "4096^2")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"skewlab: error: {message} elements exceed the cap of 4096\n"
+    assert listed == [(0, 1)]  # the one edge of attractive's default positions, path:2
 
 
 def test_cli_error_messages_name_the_fix(capsys):

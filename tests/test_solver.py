@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from skewlab import solver, sperner
+from skewlab import solver
 from skewlab.bitstring import Family, influence_bits, skewincident, skewincident_bits
 from skewlab.constructions import verify_pairwise_skewincident
 from skewlab.counting import fibonacci_count
@@ -22,7 +22,7 @@ from oracles import (
     enumerate_max_clique,
     instance_from_relation,
     max_clique,
-    row_neighbours,
+    row_matching,
     unseeded_cover_family,
 )
 from tables import ATTRACTIVE_WITNESS_SHA256, MAX_FAMILY, MAX_FAMILY_WITNESS_3
@@ -231,9 +231,8 @@ def test_search_and_greedy_read_h_rows():
             if alpha[p] <= floor:
                 assert found is None, (rows, p, floor)
             else:
-                family = sum(1 << v for v in found)
-                assert len(found) == family.bit_count() == min(alpha[p], stop), (rows, p, floor)
-                assert family & ~p == 0 and not any(rows[v] & family for v in found)
+                assert found.bit_count() == min(alpha[p], stop), (rows, p, floor)
+                assert found & ~p == 0 and not any(rows[v] & found for v in solver._bits(found))
             need = rng.randint(0, vertices)
             family = solver._greedy_clique(rows, p, need)
             members = list(solver._bits(family))
@@ -548,12 +547,13 @@ def alternating_reach(adj: list[list[int]], free: list[int], mate: dict[int, int
 
 def check_max_matching(adj: list[list[int]], right: int, mate: dict[int, int], trial: int) -> None:
     given = [u for u in range(len(adj)) if u not in mate.values()]
-    free, reach = sperner.max_matching(given, lambda u, seen: adj[u], mate)
+    rows = [sum(1 << v for v in vs) for vs in adj]
+    free, reach = row_matching(rows, (1 << right) - 1, given, mate)
     assert all(v in adj[u] for v, u in mate.items()), trial
     assert len(set(mate.values())) == len(mate), trial
     assert len(mate) == kuhn_matching_size(adj, right), trial
     assert free == [u for u in given if u not in mate.values()], trial
-    assert reach == alternating_reach(adj, free, mate), trial
+    assert reach == sum(1 << v for v in alternating_reach(adj, free, mate)), trial
 
 
 def test_max_matching_returns_free_vertices_and_their_reach():
@@ -572,14 +572,13 @@ def test_max_matching_returns_free_vertices_and_their_reach():
             if open_edges and rng.random() < 0.5:
                 partial[rng.choice(open_edges)] = u
         check_max_matching(adj, right, partial, trial)
-    assert sperner.max_matching([], lambda u, seen: [], {}) == ([], set())
+    assert row_matching([], 0, [], {}) == ([], 0)
 
 
 def test_max_matching_on_dense_rows():
     """The matcher on random rows with 90-97% of pairs
-    present, read through a random kept mask by ``row_neighbours``: the
-    matching is maximum and the reach is the alternating one, as with plain
-    neighbour lists."""
+    present, read through a random kept mask: the matching is maximum and
+    the reach is the alternating one, as with plain neighbour lists."""
     rng = random.Random(6)
     count = 200
     for trial in range(6):
@@ -589,15 +588,15 @@ def test_max_matching_on_dense_rows():
         keep = sum(1 << v for v in range(count) if rng.random() < 0.9)
         adj = [list(solver._bits(row & keep)) for row in rows]
         mate: dict[int, int] = {}
-        free, reach = sperner.max_matching(list(range(count)), row_neighbours(rows, keep), mate)
+        free, reach = row_matching(rows, keep, list(range(count)), mate)
         assert all(v in adj[u] for v, u in mate.items()), trial
         assert len(set(mate.values())) == len(mate) == kuhn_matching_size(adj, count), trial
         assert free == [u for u in range(count) if u not in mate.values()], trial
-        assert reach == alternating_reach(adj, free, mate), trial
+        assert reach == sum(1 << v for v in alternating_reach(adj, free, mate)), trial
 
 
 def test_cover_family_does_not_depend_on_the_matching():
-    """``_cover_family`` seeds its matching greedily, and ``max_matching``
+    """``_cover_family`` seeds its matching greedily, and ``row_matching``
     grown from every kept vertex that has a row gives the same family: the
     Koenig split is read off what alternating paths from the free left
     copies reach, which is the same for every maximum matching. On the

@@ -1,5 +1,6 @@
 """Antichain maxima: chain-cover route, independent oracle, bound checks."""
 
+import hashlib
 import itertools
 import math
 
@@ -119,19 +120,39 @@ def test_sweep_certifies_lengths_past_the_cap(monkeypatch):
     assert sizes[26] == 77520
 
 
+# SHA-256 of repr((n, peak, sorted(up.items()))) over antichain_sweep(26),
+# recorded while the augmenting searches went through a generic matcher
+SWEEP_SHA256 = "1e10d4d118e11088ff87ce9b8e175480938bff23486c7b9783a0a335fb051458"
+
+
+def test_sweep_chain_partitions_are_pinned(monkeypatch):
+    # the search order decides which maximum matching each level pair gets,
+    # and so every chain partition the sweep yields
+    monkeypatch.setattr(sperner, "MAX_POSET_LENGTH", 26)
+    digest = hashlib.sha256()
+    for n, peak, up in sperner.antichain_sweep(26):
+        digest.update(repr((n, peak, sorted(up.items()))).encode())
+    assert digest.hexdigest() == SWEEP_SHA256
+
+
 def test_antichain_size_is_the_largest_binomial_level():
     for n in range(1, 21):
         assert max_antichain(n).size == max(math.comb(n + 1 - k, k) for k in range(n + 1)), n
 
 
 def test_certificate_check_fires(monkeypatch):
-    # an augmenting step that never extends the matching from one string
-    augment = sperner.augment
+    # a level pair's fill that takes back the link it gave string 0b1 when
+    # 0b1 started free in the smaller level
+    fill_pair = sperner._fill_pair
 
-    def one_short(start, neighbours, mate, seen):
-        return start != 0b1 and augment(start, neighbours, mate, seen)
+    def one_short(up, lower, upper, full):
+        was_free = 0b1 in lower and 0b1 not in up and len(lower) <= len(upper)
+        added = fill_pair(up, lower, upper, full)
+        if was_free and up.pop(0b1, None) is not None:
+            added -= 1
+        return added
 
-    monkeypatch.setattr(sperner, "augment", one_short)
+    monkeypatch.setattr(sperner, "_fill_pair", one_short)
     with pytest.raises(AssertionError, match="rank level 1 has 1 strings left free"):
         max_antichain(5)
     with pytest.raises(AssertionError, match="left free"):

@@ -2,19 +2,21 @@
 
 Exit codes: 0 success, 1 a verification failed (the counterexample is
 printed), 2 invalid arguments. Output is byte-identical for identical
-arguments and seed; pass --timing to add wall-clock fields, which are
-excluded by default exactly so that byte-identity holds.
+arguments and seed. Every command accepts --timing, but only the three
+solver commands (exact-m, graph-m, attractive) read it: it adds their
+wall-clock ``elapsed_ms`` field, which is left out by default exactly so
+that byte-identity holds. The other seven print the same bytes with it.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from . import constructions, counting, graphs, report, solver, sperner
+from .bitstring import Family
 from .report import Table, render
 
 
@@ -28,6 +30,17 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _emit_table(args: argparse.Namespace, table: Table) -> None:
     _emit(args, render(table, args.fmt))
+
+
+def _emit_row(args: argparse.Namespace, row: dict[str, object]) -> None:
+    """A one-row table, its columns named by ``row``'s keys in order."""
+    _emit_table(args, Table(tuple(row), (tuple(row.values()),)))
+
+
+def _emit_strings(args: argparse.Namespace, strings: Iterator[str]) -> None:
+    """One string per line, or a JSON array of them with --format json."""
+    _emit(args, json.dumps(list(strings)) + "\n" if args.fmt == "json"
+          else "".join(s + "\n" for s in strings))
 
 
 def _spec_int(spec: str, token: str) -> int:
@@ -84,8 +97,7 @@ def _emit_result(args: argparse.Namespace, extra: dict[str, object],
         _emit(args, json.dumps(fields, sort_keys=True) + "\n")
         return 0
     fields["witness"] = " ".join(map(str, fields["witness"]))
-    row = tuple(extra.values()) + tuple(fields.values())
-    _emit_table(args, Table(tuple(extra) + tuple(fields), (row,)))
+    _emit_row(args, extra | fields)
     return 0
 
 
@@ -95,57 +107,44 @@ def _cmd_gamma_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_for(args: argparse.Namespace) -> "constructions.Family":
+def _family_for(args: argparse.Namespace) -> Family:
     if args.construction == "C":
         return constructions.enumerate_C(args.n)
-    if args.construction == "fibonacci":
-        return constructions.enumerate_fibonacci(args.n)
-    raise ValueError(f"unknown construction {args.construction!r}")
+    return constructions.enumerate_fibonacci(args.n)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     family = _family_for(args)
-    if args.fmt == "json":
-        _emit(args, constructions.family_to_json(family) + "\n")
-    else:
-        _emit(args, constructions.family_to_lines(family))
+    n = family.length
+    _emit_strings(args, (f"{m:0{n}b}" for m in family.masks))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    """A search check prints its first counterexample or ``ok``; a claim
+    check prints the claim and whether it holds."""
+    if args.check in ("sandwich", "projection"):
+        if args.check == "sandwich":
+            rep = report.sandwich_check(args.n)
+            claim = f"{rep.construction_size} <= {rep.exact_size} <= {rep.upper_bound}"
+        else:
+            rep = sperner.projection_bound_check(args.n)
+            claim = (f"antichain {rep.antichain_size} <= {rep.fib_prev}"
+                     f" and 3*{rep.fib_prev} <= 2*{rep.fib_n}")
+        _emit(args, f"{claim} : {'ok' if rep.ok else 'VIOLATED'}\n")
+        return 0 if rep.ok else 1
     if args.check == "pairwise":
         family = _family_for(args)
-        verdict = constructions.verify_pairwise_skewincident(family)
-        if verdict is None:
-            _emit(args, f"ok: {len(family)} members pairwise skewincident\n")
-            return 0
-        _emit(args, f"counterexample: ({verdict[0]}, {verdict[1]})\n")
-        return 1
-    if args.check == "disjointness":
+        pair = constructions.verify_pairwise_skewincident(family)
+        holds = f"{len(family)} members pairwise skewincident"
+    else:
         pair = constructions.disjointness_counterexample(args.n)
-        if pair is not None:
-            _emit(args, f"counterexample: ({pair[0]}, {pair[1]})\n")
-            return 1
-        _emit(args, f"ok: gamma-sum implication holds on all pairs at n={args.n}\n")
-        return 0
-    if args.check == "sandwich":
-        rep = report.sandwich_check(args.n)
-        _emit(
-            args,
-            f"{rep.construction_size} <= {rep.exact_size} <= {rep.upper_bound}"
-            f" : {'ok' if rep.ok else 'VIOLATED'}\n",
-        )
-        return 0 if rep.ok else 1
-    if args.check == "projection":
-        rep = sperner.projection_bound_check(args.n)
-        _emit(
-            args,
-            f"antichain {rep.antichain_size} <= {rep.fib_prev}"
-            f" and 3*{rep.fib_prev} <= 2*{rep.fib_n}"
-            f" : {'ok' if rep.ok else 'VIOLATED'}\n",
-        )
-        return 0 if rep.ok else 1
-    raise ValueError(f"unknown check {args.check!r}")
+        holds = f"gamma-sum implication holds on all pairs at n={args.n}"
+    if pair is not None:
+        _emit(args, f"counterexample: ({pair[0]}, {pair[1]})\n")
+        return 1
+    _emit(args, f"ok: {holds}\n")
+    return 0
 
 
 def _cmd_exact_m(args: argparse.Namespace) -> int:
@@ -178,10 +177,8 @@ def _cmd_attractive(args: argparse.Namespace) -> int:
 
 
 def _cmd_sperner(args: argparse.Namespace) -> int:
-    if args.witness:  # written as ``construct`` writes
-        literals = [str(w) for w in sperner.max_antichain(args.n).witness]
-        _emit(args, json.dumps(literals) + "\n" if args.fmt == "json"
-              else "".join(w + "\n" for w in literals))
+    if args.witness:
+        _emit_strings(args, (str(w) for w in sperner.max_antichain(args.n).witness))
         return 0
     lo, hi = args.n_range if args.n_range else (args.n, args.n)
     sizes = sperner.antichain_sizes(lo, hi)  # first, so that both ends are checked against the cap
@@ -195,31 +192,16 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     exact = counting.tail_probability(args.n)
     abs_error = abs(est.estimate - float(exact))
     passed = abs_error <= 3.0 * est.standard_error
-    table = Table(
-        (
-            "n",
-            "samples",
-            "seed",
-            "estimate",
-            "standard_error",
-            "exact",
-            "abs_error",
-            "within_3_sigma",
-        ),
-        (
-            (
-                args.n,
-                args.samples,
-                args.seed,
-                est.estimate,
-                est.standard_error,
-                exact,
-                abs_error,
-                passed,
-            ),
-        ),
-    )
-    _emit_table(args, table)
+    _emit_row(args, {
+        "n": args.n,
+        "samples": args.samples,
+        "seed": args.seed,
+        "estimate": est.estimate,
+        "standard_error": est.standard_error,
+        "exact": exact,
+        "abs_error": abs_error,
+        "within_3_sigma": passed,
+    })
     return 0 if passed else 1
 
 
@@ -229,7 +211,7 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
     except counting.CrossoverNotFoundError as exc:
         _emit(args, f"no crossover: {exc}\n")
         return 1
-    _emit_table(args, Table(("max_n", "crossover_n"), ((args.max_n, n_star),)))
+    _emit_row(args, {"max_n": args.max_n, "crossover_n": n_star})
     return 0
 
 
@@ -339,15 +321,12 @@ _COMMANDS: dict[str, tuple[Callable[..., int], str, Callable[..., None]]] = {
 }
 
 
-@functools.cache
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser with the subparser of ``command`` alone, or
-    of every command when it is None; built on the first ``main`` call for
-    that command and reused by later ones: every parse starts from a fresh
-    namespace. A one-command parser names every command in its usage, so
-    its usage and errors read as the full parser's; only the full parser
-    can list the commands, which no arguments, -h or an unknown command
-    print."""
+    of every command when it is None. A one-command parser names every
+    command in its usage, so its usage and errors read as the full
+    parser's; only the full parser can list the commands, which no
+    arguments, -h or an unknown command print."""
     parser = argparse.ArgumentParser(
         prog="skewlab",
         description="Exact experiments on skewincident string families.",

@@ -1,9 +1,7 @@
 """Materialized string families: the high-gamma construction, the
-no-adjacent-ones family, their checks, and their text and JSON forms."""
+no-adjacent-ones family and their checks."""
 
 from __future__ import annotations
-
-import json
 
 from .bitstring import BitString, Family, gamma_bits, influence_bits, skewincident_bits, submasks
 
@@ -96,14 +94,3 @@ def disjointness_counterexample(n: int) -> tuple[BitString, BitString] | None:
                 return BitString(n, x), BitString(n, y)
     return None
 
-
-def family_to_lines(family: Family) -> str:
-    """Newline-delimited literals in lexicographic order, trailing newline."""
-    n = family.length
-    return "".join(f"{m:0{n}b}\n" for m in family.masks)
-
-
-def family_to_json(family: Family) -> str:
-    """JSON array of literals in lexicographic order."""
-    n = family.length
-    return json.dumps([f"{m:0{n}b}" for m in family.masks])

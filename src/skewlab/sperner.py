@@ -83,6 +83,8 @@ def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int
                 if w is None:  # flip the path: each string reached takes the one before it
                     for (a, _, _), (_, _, b) in zip(stack, stack[1:] + [(None, None, v)]):
                         mate[b] = a
+                        if upward:
+                            up[a] = b
                     break
                 stack.append([w, full & ~(w | w << 1 | w >> 1) if upward else w, v])
             else:
@@ -90,8 +92,6 @@ def _fill_pair(up: dict[int, int], lower: list[int], upper: list[int], full: int
         if len(left) == len(free):
             break
         free = left
-    if upward:
-        up.update(zip(matched.values(), matched))
     return total - len(free)
 
 

@@ -14,12 +14,11 @@ from skewlab.bitstring import (
     skewincident_bits,
 )
 from skewlab import constructions
+from skewlab.cli import main
 from skewlab.constructions import (
     disjointness_counterexample,
     enumerate_C,
     enumerate_fibonacci,
-    family_to_json,
-    family_to_lines,
     fibonacci_masks,
     verify_pairwise_skewincident,
 )
@@ -211,18 +210,19 @@ def test_construction_meets_fibonacci_in_antichain():
                     assert x & ~y and y & ~x, (n, x, y)  # incomparable
 
 
-def test_lines_round_trip():
-    fam = enumerate_C(4)
-    text = family_to_lines(fam)
-    assert text.endswith("\n")
-    assert Family.from_literals(text.splitlines()) == fam
-    assert family_to_lines(Family(4, ())) == ""
-    # lines come out sorted
+def test_lines_round_trip(capsys):
+    # ``construct`` writes a family as its literals, one per line, ascending
+    assert main(["construct", "--n", "4"]) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("\n") and text.count("\n") == len(enumerate_C(4))
+    assert Family.from_literals(text.splitlines()) == enumerate_C(4)
     assert text.splitlines() == sorted(text.splitlines())
+    assert main(["construct", "--n", "1"]) == 0  # C_1 is empty
+    assert capsys.readouterr().out == ""
 
 
-def test_json_round_trip():
-    fam = enumerate_C(5)
-    text = family_to_json(fam)
-    assert Family.from_literals(json.loads(text)) == fam
-    assert family_to_json(Family(3, ())) == "[]"
+def test_json_round_trip(capsys):
+    assert main(["construct", "--n", "5", "--format", "json"]) == 0
+    assert Family.from_literals(json.loads(capsys.readouterr().out)) == enumerate_C(5)
+    assert main(["construct", "--n", "1", "--format", "json"]) == 0
+    assert capsys.readouterr().out == "[]\n"

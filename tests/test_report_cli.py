@@ -156,6 +156,64 @@ def test_counting_commands_at_the_caps_are_pinned(capsys, command):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# exit code and stdout SHA-256 of each output shape the commands write: the
+# one-row tables, the string lists (the empty family too: "" and "[]\n"), and
+# the two verdict lines; recorded before each shape got its one writer
+OUTPUT_SHAPES = {
+    "construct --construction C --n 10":
+        (0, "c34ea233c448a951c904166cb5173c8fbc0245ce08fd5c554f151366cb740bf1"),
+    "construct --construction C --n 10 --format json":
+        (0, "87088d06b1715ad45639710d5ff45172e14bdcfaec075e2127cc60c23e2be697"),
+    "construct --construction C --n 1":
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "construct --construction C --n 1 --format json":
+        (0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    "construct --construction fibonacci --n 5 --format csv":
+        (0, "06973ddac9a7cadc1e50ceb40d8c487c2fcc60de41a33dbd1728519c158f5de5"),
+    "sperner --n 6 --witness":
+        (0, "d9f2cfff6896671c962a243763fa892af2cfc5f8ae4a0d967c1eb146d8ad0ea4"),
+    "sperner --n 6 --witness --format csv":
+        (0, "d9f2cfff6896671c962a243763fa892af2cfc5f8ae4a0d967c1eb146d8ad0ea4"),
+    "sperner --n 6 --witness --format json":
+        (0, "ebb415ac542f045564e62f89b3db4cbe3ab0eace025cea3272737c84ffbd63bf"),
+    "montecarlo --n 20 --samples 100000 --seed 42":
+        (0, "1dcd226a74bd280bc609f3c93b6382a1e2115ad8ddaa3083cc1af12f35c0ca31"),
+    "montecarlo --n 20 --samples 100000 --seed 42 --format csv":
+        (0, "aa1490047ec400a3ba4a92aa1ebd5a2e4925ae0cd863280c157304f11e145a25"),
+    "montecarlo --n 20 --samples 100000 --seed 42 --format json":
+        (0, "7cfd65f583e23a697dc412b31379f48c668afee13ea8e9ce6fe21e7433633b46"),
+    "crossover --max-n 200":
+        (0, "8d0f4d07f677b3511cc05d2d7768bedaffaf4cdfbd4b8bdba8b36d655b22c575"),
+    "crossover --max-n 200 --format json":
+        (0, "0dfc13c6b13806b7e26ac32340bcfc2b89a0ea233a43f4f7b77922e7aec01021"),
+    "exact-m --n 5":
+        (0, "eb5a1a67eaec9ae93b94877f4aa1bf2fcd3031d286321b30db0119b99dde0429"),
+    "exact-m --n 5 --format csv":
+        (0, "101ee5a04963996697df1941d8901ddd738d2e22e1c3ee553d3e5b8d016e2370"),
+    "graph-m --graph multipartite:2,2 --format csv":
+        (0, "61c441ac9d139b5af29d987754694d61dc2bfdc942261ac3746a8ef929a9bc85"),
+    "attractive --n 3":
+        (0, "d9964e67a0345c1004174e731cc1b007b8b5c0cd302906f983b2fbb4788b9ebc"),
+    "verify --construction C --n 12":
+        (0, "3cc1630aeb51a43d6abd18985239e7a523c323756963993898cdb0debf682bed"),
+    "verify --construction fibonacci --n 6":
+        (1, "138f2c6385e9200bd4796e7dc863873a2dec6fc43531f1b48d19faa8b9bede16"),
+    "verify --check disjointness --n 8":
+        (0, "08fafcb13965e62dccacef2d95735dfc8f2fb8765f5a405f94bb972b5152e9fe"),
+    "verify --check sandwich --n 6":
+        (0, "b909876957d249e28581e5c397d20dbef7465b73ef47a4804d55ab2f37a5abe0"),
+    "verify --check projection --n 9":
+        (0, "6fad81c224bd8756a8f51a93cf88e69b97f86e92fa30b8e087ff367675c7729a"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHAPES))
+def test_output_shapes_are_pinned(capsys, command):
+    code, digest = OUTPUT_SHAPES[command]
+    assert main(command.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_summary_table_columns():
     table = summary_table(1, 6)
     assert table.columns == (
@@ -243,6 +301,9 @@ def test_cli_exact_m(capsys):
     assert "elapsed_ms" not in payload  # timing excluded by default
     code, out = run_cli(capsys, "exact-m", "--n", "3", "--format", "json", "--timing")
     assert "elapsed_ms" in json.loads(out)
+    # only the solver commands read --timing; the others print the same bytes
+    assert run_cli(capsys, "report", "--n-range", "1..3", "--timing") == run_cli(
+        capsys, "report", "--n-range", "1..3")
 
 
 def test_cli_graph_m(capsys):
@@ -394,19 +455,13 @@ def cli_outcome(capsys, argv: list[str]) -> tuple[object, str, str]:
 
 
 def test_cli_commands_back_to_back_match_fresh_calls(capsys):
-    fresh = []
-    for argv in BACK_TO_BACK:
-        cli._build_parser.cache_clear()
-        fresh.append(cli_outcome(capsys, argv))
+    fresh = [cli_outcome(capsys, argv) for argv in BACK_TO_BACK]
     assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2, 0, 0]
-    cli._build_parser.cache_clear()
     assert [cli_outcome(capsys, argv) for argv in BACK_TO_BACK] == fresh
     for argv in BACK_TO_BACK:
-        shared = cli._build_parser(argv[0])
-        assert cli._build_parser(argv[0]) is shared  # one parser per command
         if argv != ["sperner", "--n-range", "5..3"]:
-            assert vars(shared.parse_args(argv)) == vars(
-                cli._build_parser.__wrapped__().parse_args(argv)), argv
+            assert vars(cli._build_parser(argv[0]).parse_args(argv)) == vars(
+                cli._build_parser().parse_args(argv)), argv
 
 
 # a valid call of each command, in the order that usage lists them
@@ -434,7 +489,6 @@ def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch):
     probes = []
     for command, args in VALID_CALLS.items():
         probes += [[command, "--help"], [command, "--bogus"], [command], [command, *args, "extra"]]
-    cli._build_parser.cache_clear()
     own = [cli_outcome(capsys, argv) for argv in probes]
     assert [code for code, _, _ in own] == [0, 2, 2, 2] * 10
     names = "{" + ",".join(VALID_CALLS) + "}"
@@ -448,7 +502,7 @@ def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch):
                                  "'bogus' (choose from 'gamma-dist', 'construct', 'verify', "
                                  "'exact-m', 'graph-m', 'attractive', 'sperner', 'montecarlo', "
                                  "'crossover', 'report')\n")), err
-    full = cli._build_parser.__wrapped__()
+    full = cli._build_parser()
     monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
     assert [cli_outcome(capsys, argv) for argv in probes] == own
 
